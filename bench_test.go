@@ -159,24 +159,6 @@ func BenchmarkFig6ThreadSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLCAMethod compares the two LCA query structures used
-// by candidate filtering (Euler-tour RMQ vs binary lifting).
-func BenchmarkAblationLCAMethod(b *testing.B) {
-	for _, lifting := range []bool{false, true} {
-		name := "euler"
-		if lifting {
-			name = "lifting"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := benchEngine(b, "leon2")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.TopPaths(context.Background(), core.Options{K: 1000, Mode: model.Setup, Threads: 1, UseLiftingLCA: lifting})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDepth verifies the O(nD) claim: designs of identical
 // element counts whose clock trees differ only in depth D.
 func BenchmarkAblationDepth(b *testing.B) {

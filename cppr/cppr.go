@@ -226,7 +226,7 @@ type snapshot struct {
 	// journaled edits and validated per-lookup against the journal (an
 	// entry serves iff no edit after its watermark lands in its cone at
 	// its corner). Rebuilding edits (clock arcs, ApplySDC) start fresh.
-	memo *queryMemo
+	memo *core.JournalCache[Query, Report]
 	// ctr aggregates cache counters across the Timer's life.
 	ctr *timerCounters
 	// hier, non-nil in hierarchical mode, carries the flat design and
@@ -402,7 +402,6 @@ func (s *snapshot) coreOpts(q Query) core.Options {
 		K:             q.K,
 		Mode:          q.Mode,
 		Threads:       q.Threads,
-		UseLiftingLCA: q.UseLiftingLCA,
 		IncludePOs:    q.IncludePOs,
 		FilterCapture: q.FilterCapture,
 		CaptureFF:     q.CaptureFF,
@@ -452,18 +451,8 @@ func (s *snapshot) runOn(ctx context.Context, q Query, ce *cornerEngines, tc *sc
 			// edit (cone provably disjoint) count as cone skips.
 			res, rerr = ce.engine.TopPathsMemo(ctx, copts, core.MemoCtx{
 				Cache:   ce.cache,
-				Seq:     s.seq,
 				Journal: s.journal,
 				Corner:  ce.corner,
-				Valid: func(entrySeq uint64, cone *model.PinSet) bool {
-					if s.journal.DirtySince(entrySeq, ce.corner, cone) {
-						return false
-					}
-					if entrySeq < s.seq {
-						s.ctr.coneSkips.Add(1)
-					}
-					return true
-				},
 			})
 		} else {
 			res, rerr = ce.engine.TopPaths(ctx, copts)
@@ -509,55 +498,12 @@ func (s *snapshot) runOn(ctx context.Context, q Query, ce *cornerEngines, tc *sc
 
 // run executes one normalized query: the single-corner fast path goes
 // straight to that corner's engines; a multi-corner query fans its
-// corners out over a work-stealing pool sized by the parallelism budget
-// and merges into the worst-corner report.
-func (s *snapshot) run(ctx context.Context, q Query, par Parallelism) (Report, error) {
-	if c, ok := q.Corners.single(); ok {
-		rep, err := s.execute(ctx, q, c, nil)
-		if err != nil {
-			return Report{}, err
-		}
-		rep.Corner, rep.Corners = c, q.Corners
-		return rep, nil
-	}
-	start := time.Now()
-	corners := q.Corners.List()
-	reps := make([]Report, len(corners))
-	errs := make([]error, len(corners))
-	if w := par.workers(); w > 1 {
-		pool := sched.New(w)
-		g := pool.NewGroup()
-		for i, c := range corners {
-			i, c := i, c
-			g.Spawn(func(tc *sched.TC) {
-				reps[i], errs[i] = s.execute(ctx, q, c, tc)
-			})
-		}
-		g.Wait(nil)
-		pool.Close()
-	} else {
-		for i, c := range corners {
-			reps[i], errs[i] = s.execute(ctx, q, c, nil)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return Report{}, err
-		}
-	}
-	rep := mergeCornerReports(corners, reps, q.K)
-	rep.Corners = q.Corners
-	rep.Elapsed = time.Since(start)
-	return rep, nil
-}
-
-// runWith is run for a normalized query already inside an executor
-// task: corners execute sequentially on the calling worker, and a
-// non-nil tc lets each corner's candidate jobs spawn as stealable
-// subtasks on the shared pool instead of private goroutines — the
-// admission path that lets many forked timers' queries share one
-// worker budget (see Timer.WhatIf).
-func (s *snapshot) runWith(ctx context.Context, q Query, tc *sched.TC) (Report, error) {
+// corners out (forCorners) and merges into the worst-corner report. A
+// non-nil tc marks the call as already inside an executor task: corners
+// then run on the calling worker and spawn their candidate jobs as
+// stealable subtasks on tc's pool — the admission path that lets many
+// forked timers' queries share one worker budget (see Timer.WhatIf).
+func (s *snapshot) run(ctx context.Context, q Query, workers int, tc *sched.TC) (Report, error) {
 	if c, ok := q.Corners.single(); ok {
 		rep, err := s.execute(ctx, q, c, tc)
 		if err != nil {
@@ -569,9 +515,12 @@ func (s *snapshot) runWith(ctx context.Context, q Query, tc *sched.TC) (Report, 
 	start := time.Now()
 	corners := q.Corners.List()
 	reps := make([]Report, len(corners))
-	for i, c := range corners {
-		var err error
-		if reps[i], err = s.execute(ctx, q, c, tc); err != nil {
+	errs := make([]error, len(corners))
+	forCorners(len(corners), workers, tc, func(i int, tc *sched.TC) {
+		reps[i], errs[i] = s.execute(ctx, q, corners[i], tc)
+	})
+	for _, err := range errs {
+		if err != nil {
 			return Report{}, err
 		}
 	}
@@ -579,6 +528,27 @@ func (s *snapshot) runWith(ctx context.Context, q Query, tc *sched.TC) (Report, 
 	rep.Corners = q.Corners
 	rep.Elapsed = time.Since(start)
 	return rep, nil
+}
+
+// forCorners runs body(i, ·) for every corner index i < n. With more
+// than one corner and more than one worker, and no executor task to run
+// under, the corners spread over a fresh work-stealing pool of workers;
+// otherwise they run in order on the caller, passing tc through.
+func forCorners(n, workers int, tc *sched.TC, body func(i int, tc *sched.TC)) {
+	if tc != nil || n < 2 || workers < 2 {
+		for i := 0; i < n; i++ {
+			body(i, tc)
+		}
+		return
+	}
+	pool := sched.New(workers)
+	g := pool.NewGroup()
+	for i := 0; i < n; i++ {
+		i := i
+		g.Spawn(func(tc *sched.TC) { body(i, tc) })
+	}
+	g.Wait(nil)
+	pool.Close()
 }
 
 // Timer answers CPPR queries for one design. Construction preprocesses
@@ -637,7 +607,7 @@ func (t *Timer) Run(ctx context.Context, q Query) (Report, error) {
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	rep, err := s.run(ctx, q, par)
+	rep, err := s.run(ctx, q, par.workers(), nil)
 	if err == nil && rep.Degraded {
 		s.ctr.servedDegraded.Add(1)
 	}
@@ -872,34 +842,20 @@ func (t *Timer) PostCPPRSlacksCtx(ctx context.Context, q Query) (out []EndpointS
 	corners := q.Corners.List()
 	byCorner := make([][]sta.EndpointSlack, len(corners))
 	errs := make([]error, len(corners))
-	sweep := func(i int, c model.Corner, tc *sched.TC) {
+	forCorners(len(corners), par.workers(), nil, func(i int, tc *sched.TC) {
 		copts := s.coreOpts(q)
 		copts.Exec = tc
-		raw, err := s.corner(c).engine.EndpointSlacksCPPR(ctx, copts)
+		raw, err := s.corner(corners[i]).engine.EndpointSlacksCPPR(ctx, copts)
 		if err != nil {
 			errs[i] = err
 			return
 		}
 		conv := make([]sta.EndpointSlack, len(raw))
 		for j, sl := range raw {
-			conv[j] = sta.EndpointSlack{FF: sl.FF, Slack: sl.Slack, Valid: sl.Valid, Corner: c}
+			conv[j] = sta.EndpointSlack{FF: sl.FF, Slack: sl.Slack, Valid: sl.Valid, Corner: corners[i]}
 		}
 		byCorner[i] = conv
-	}
-	if w := par.workers(); len(corners) > 1 && w > 1 {
-		pool := sched.New(w)
-		g := pool.NewGroup()
-		for i, c := range corners {
-			i, c := i, c
-			g.Spawn(func(tc *sched.TC) { sweep(i, c, tc) })
-		}
-		g.Wait(nil)
-		pool.Close()
-	} else {
-		for i, c := range corners {
-			sweep(i, c, nil)
-		}
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

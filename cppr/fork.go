@@ -44,7 +44,7 @@ func (s *snapshot) fork() *snapshot {
 		}
 		ns.extra[i] = nslot
 	}
-	ns.memo = s.memo.fork(s.seq)
+	ns.memo = s.memo.Fork(s.seq)
 	return &ns
 }
 
@@ -57,8 +57,11 @@ func (s *snapshot) fork() *snapshot {
 // parent edits made after the fork are never visible to the child.
 // Both timers remain fully usable and safe for concurrent use; Stats
 // counters are shared, aggregating across the fork family.
-func (t *Timer) Fork() *Timer {
-	s := t.snap.Load()
+func (t *Timer) Fork() *Timer { return t.forkAt(t.snap.Load()) }
+
+// forkAt returns a child timer forked at s, which must be one of t's
+// snapshots, inheriting t's Parallelism.
+func (t *Timer) forkAt(s *snapshot) *Timer {
 	s.ctr.forks.Add(1)
 	nt := &Timer{}
 	nt.snap.Store(s.fork())
@@ -146,7 +149,7 @@ func (t *Timer) WhatIf(ctx context.Context, candidates []EditSet, queries []Quer
 	// Baseline once, on the frozen snapshot — candidate evaluations
 	// compare against it and also inherit the caches it warmed.
 	for i, nq := range nqs {
-		rep, err := s.runWith(ctx, nq, nil)
+		rep, err := s.run(ctx, nq, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -155,12 +158,7 @@ func (t *Timer) WhatIf(ctx context.Context, candidates []EditSet, queries []Quer
 	eval := func(ci int, tc *sched.TC) {
 		sc := &res.Candidates[ci]
 		sc.Candidate = ci
-		s.ctr.forks.Add(1)
-		child := &Timer{}
-		child.snap.Store(s.fork())
-		if p := t.par.Load(); p != nil {
-			child.par.Store(p)
-		}
+		child := t.forkAt(s)
 		for _, ed := range candidates[ci] {
 			if err := child.SetArcDelayAt(ed.Corner, ed.From, ed.To, ed.Delay); err != nil {
 				sc.Err = err
@@ -172,7 +170,7 @@ func (t *Timer) WhatIf(ctx context.Context, candidates []EditSet, queries []Quer
 		sc.Delta = make([]model.Time, len(nqs))
 		sc.DeltaValid = make([]bool, len(nqs))
 		for qi, nq := range nqs {
-			rep, err := cs.runWith(ctx, nq, tc)
+			rep, err := cs.run(ctx, nq, 1, tc)
 			if err != nil {
 				sc.Err = err
 				return

@@ -2,7 +2,6 @@ package cppr
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,10 +39,10 @@ type timerCounters struct {
 	crprSameTransition atomic.Int64
 	// Speculation counters: forks counts Timer.Fork calls (including the
 	// per-candidate forks inside WhatIf), whatifCandidates the candidate
-	// edit sets scored by Timer.WhatIf, and coneSkips the cache servings
-	// that crossed an edit because the journal proved the entry's cone
-	// disjoint from every dirtying edit (job entries and whole-report
-	// memo entries both count — each skip is a revalidation-free reuse).
+	// edit sets scored by Timer.WhatIf, and coneSkips the query-memo
+	// servings that crossed an edit because the journal proved the
+	// entry's cone disjoint from every dirtying edit (job-cache skips
+	// are counted in job; Stats reports the sum).
 	forks            atomic.Int64
 	whatifCandidates atomic.Int64
 	coneSkips        atomic.Int64
@@ -63,68 +62,20 @@ type timerCounters struct {
 // still absorbs most of the cost).
 const queryMemoMax = 128
 
-// queryMemoEntry is one cached report. exhausted marks a report with
-// fewer paths than its K: the design has no more paths of that shape,
-// so the entry serves any larger K too. seq/corner/cone position the
-// report on the edit journal — the entry is exact on a snapshot at
-// sequence g iff no journaled edit in (seq, g] lands a source pin
-// inside cone at corner — which is what lets the memo be carried
-// across edits instead of dying with its snapshot. seq advances on
-// every successful reuse (monotonically, so a racing reader can only
-// shorten a later walk, never extend validity).
-type queryMemoEntry struct {
-	k         int
-	exhausted bool
-	rep       Report
-	// storeSeq is the journal sequence the report was computed at,
-	// immutable; seq is the advancing watermark (seq >= storeSeq).
-	// Fork needs the distinction: an entry computed on the shared
-	// prefix survives with its watermark clamped, one computed past
-	// the fork point reflects the parent's divergent edits and must go.
-	storeSeq uint64
-	seq      atomic.Uint64
-	corner   model.Corner
-	cone     *model.PinSet
-}
-
-// advanceSeq bumps the entry's validation watermark to seq, never
-// moving it backward.
-func (e *queryMemoEntry) advanceSeq(seq uint64) {
-	for {
-		cur := e.seq.Load()
-		if cur >= seq || e.seq.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// queryMemo caches whole normalized-query reports across a snapshot
-// chain — the cross-call extension of ReportBatch's in-call dedup.
-// Keys are single-corner queries with Threads erased and, like the
-// batch grouping, K erased: a top-k report is the k-prefix of any
-// larger exact report, so one max-K entry serves every smaller K.
-// Soundness across edits comes from per-entry journal validation
-// (queryMemoEntry.seq/corner/cone): within one journal position a
-// normalized query is a pure function of the immutable engines, and an
-// entry only crosses an edit when the journal proves the edit cannot
-// reach its cone. Rebuilding edits (clock arcs, ApplySDC) discard the
-// memo wholesale with the rest of the derived state.
-//
-// Safe for concurrent use, with a lock-free read path: idx holds an
-// atomic pointer to an immutable map, so a lookup under the batch
-// executor never serializes worker threads. Writers copy the map under
-// mu and publish the successor atomically (entries themselves are
-// immutable once stored).
-type queryMemo struct {
-	idx atomic.Pointer[map[Query]*queryMemoEntry]
-	mu  sync.Mutex // serializes writers (store) only
-}
-
-func newQueryMemo() *queryMemo {
-	m := &queryMemo{}
-	empty := make(map[Query]*queryMemoEntry)
-	m.idx.Store(&empty)
-	return m
+// newQueryMemo returns an empty query memo: whole normalized-query
+// reports cached across a snapshot chain under the core.JournalCache
+// rule — the cross-call extension of ReportBatch's in-call dedup. Keys are single-corner queries with
+// Threads, Timeout and K erased: a top-k report is the k-prefix of any
+// larger exact report, so one max-K entry serves every smaller K, and a
+// report with fewer paths than its K serves any K. Each entry's
+// footprint is its corner's full launch cone: within one journal
+// position a normalized query is a pure function of the immutable
+// engines, and an entry only crosses an edit when the journal proves
+// the edit cannot reach that cone. Rebuilding edits (clock arcs,
+// ApplySDC) discard the memo wholesale with the rest of the derived
+// state.
+func newQueryMemo() *core.JournalCache[Query, Report] {
+	return core.NewJournalCache[Query, Report](queryMemoMax)
 }
 
 // queryMemoKey normalizes q into its memo key for corner c. Timeout is
@@ -136,76 +87,6 @@ func queryMemoKey(q Query, c model.Corner) Query {
 	q.Corners = CornerBit(c)
 	q.K = 0
 	return q
-}
-
-// lookup returns the entry covering key at budget k, if any — the
-// caller validates it against the journal before serving. Lock-free:
-// one atomic load of the current map.
-func (m *queryMemo) lookup(key Query, k int) *queryMemoEntry {
-	e, ok := (*m.idx.Load())[key]
-	if !ok || (e.k < k && !e.exhausted) {
-		return nil
-	}
-	return e
-}
-
-// store records a successful report computed at budget k and journal
-// sequence seq, keeping the larger-K entry when two runs race — unless
-// the incumbent is older on the journal, in which case the fresh report
-// replaces it outright (the incumbent was computed before an edit the
-// newcomer has seen; its larger K covers stale data). At capacity an
-// arbitrary entry is evicted — the memo is a bounded accelerator, not a
-// registry. The successor map is built under mu and published with one
-// atomic store, so concurrent lookups always see a complete map.
-func (m *queryMemo) store(key Query, k int, rep Report, seq uint64, corner model.Corner, cone *model.PinSet) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := *m.idx.Load()
-	if e, ok := old[key]; ok {
-		if e.k >= k && e.seq.Load() >= seq {
-			return
-		}
-	}
-	next := make(map[Query]*queryMemoEntry, len(old)+1)
-	for ok, ov := range old {
-		next[ok] = ov
-	}
-	if _, ok := next[key]; !ok && len(next) >= queryMemoMax {
-		for victim := range next {
-			delete(next, victim)
-			break
-		}
-	}
-	e := &queryMemoEntry{k: k, exhausted: len(rep.Paths) < k, rep: rep, storeSeq: seq, corner: corner, cone: cone}
-	e.seq.Store(seq)
-	next[key] = e
-	m.idx.Store(&next)
-}
-
-// fork returns an isolated copy of the memo for a snapshot forked at
-// journal sequence atSeq. Entries computed past the fork point (a
-// concurrent parent edit may have published them) are dropped; the
-// rest are copied (reports shared — they are immutable) with
-// watermarks clamped to atSeq, because a watermark proves cleanliness
-// along the PARENT's chain only and the chains diverge past the fork.
-func (m *queryMemo) fork(atSeq uint64) *queryMemo {
-	nm := newQueryMemo()
-	old := *m.idx.Load()
-	next := make(map[Query]*queryMemoEntry, len(old))
-	for k, e := range old {
-		if e.storeSeq > atSeq {
-			continue
-		}
-		w := e.seq.Load()
-		if w > atSeq {
-			w = atSeq
-		}
-		ne := &queryMemoEntry{k: e.k, exhausted: e.exhausted, rep: e.rep, storeSeq: e.storeSeq, corner: e.corner, cone: e.cone}
-		ne.seq.Store(w)
-		next[k] = ne
-	}
-	nm.idx.Store(&next)
-	return nm
 }
 
 // execute runs one normalized query against corner c, serving it from
@@ -225,22 +106,16 @@ func (s *snapshot) execute(ctx context.Context, q Query, c model.Corner, tc *sch
 	}
 	start := time.Now()
 	key := queryMemoKey(q, c)
-	if e := s.memo.lookup(key, q.K); e != nil {
-		// The entry may predate this snapshot; it serves iff the journal
-		// proves no edit since its watermark lands in its cone at its
-		// corner. A cross-edit serving skips the whole query — job
-		// revalidation included — and counts as a cone skip.
-		eseq := e.seq.Load()
-		if !s.journal.DirtySince(eseq, e.corner, e.cone) {
-			if eseq < s.seq {
-				s.ctr.coneSkips.Add(1)
-			}
-			e.advanceSeq(s.seq)
-			s.ctr.queryHits.Add(1)
-			rep := clipReport(e.rep, q.K)
-			rep.Elapsed = time.Since(start)
-			return rep, nil
+	if rep, o := s.memo.Lookup(key, q.K, s.journal); o.Served() {
+		// A cross-edit serving skips the whole query — job revalidation
+		// included — and counts as a cone skip.
+		if o == core.ConeSkip {
+			s.ctr.coneSkips.Add(1)
 		}
+		s.ctr.queryHits.Add(1)
+		rep = clipReport(rep, q.K)
+		rep.Elapsed = time.Since(start)
+		return rep, nil
 	}
 	s.ctr.queryMisses.Add(1)
 	ce := s.corner(c)
@@ -248,7 +123,7 @@ func (s *snapshot) execute(ctx context.Context, q Query, c model.Corner, tc *sch
 	if err != nil {
 		return Report{}, err
 	}
-	s.memo.store(key, q.K, rep, s.seq, c, ce.tree.LaunchCone())
+	s.memo.Store(key, rep, q.K, len(rep.Paths) < q.K, s.journal, c, ce.tree.LaunchCone())
 	return rep, nil
 }
 
@@ -344,7 +219,7 @@ func (t *Timer) Stats() TimerStats {
 		CRPRSameTransition:  s.ctr.crprSameTransition.Load(),
 		Forks:               s.ctr.forks.Load(),
 		WhatIfCandidates:    s.ctr.whatifCandidates.Load(),
-		ConeSkips:           s.ctr.coneSkips.Load(),
+		ConeSkips:           s.ctr.coneSkips.Load() + s.ctr.job.ConeSkips(),
 		MacroExtracted:      s.ctr.macroExtracted.Load(),
 		MacroReused:         s.ctr.macroReused.Load(),
 		MacroReextracted:    s.ctr.macroReextracted.Load(),

@@ -59,9 +59,6 @@ type Query struct {
 	Threads int
 	// Algorithm selects the implementation; default AlgoLCA.
 	Algorithm Algorithm
-	// UseLiftingLCA switches AlgoLCA's LCA queries to binary lifting
-	// (ablation knob; default Euler-tour RMQ).
-	UseLiftingLCA bool
 	// IncludePOs adds output-check paths at constrained primary outputs
 	// (AlgoLCA only; extension beyond the paper).
 	IncludePOs bool

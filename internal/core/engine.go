@@ -50,9 +50,6 @@ type Options struct {
 	// pool-run queries keep 1 — the pool is already saturated by jobs).
 	// Results are bit-identical at any setting.
 	PropThreads int
-	// UseLiftingLCA switches the LCA queries used by candidate
-	// filtering from Euler-tour RMQ to binary lifting (ablation knob).
-	UseLiftingLCA bool
 	// IncludePOs adds output-check paths at constrained primary outputs
 	// as an extra candidate class (extension beyond the paper, which
 	// evaluates FF tests only). PO paths carry no credit.
@@ -222,7 +219,7 @@ type jobOut struct {
 	lcaDepth int
 	credit   model.Time
 	chain    *cand
-	pins     []model.PinID // filled on acceptance into the global heap
+	pins     []model.PinID // filled on acceptance into the global heap, or when cached
 }
 
 // scratch is per-worker reusable state. The candidate heap is the
@@ -359,7 +356,9 @@ func derivePropThreads(opts *Options, numJobs int) {
 }
 
 // forEachJob runs body(s, j) exactly once for every job index in
-// [0, numJobs), containing panics via fail. Two scheduling regimes:
+// [0, numJobs) under ctx, containing panics as a *qerr.InternalError
+// reported against site. The first failure cancels a derived context so
+// the remaining jobs stop promptly. Two scheduling regimes:
 //
 //   - opts.Exec set: each job is spawned as one stealable task on the
 //     caller's work-stealing pool and the calling task help-waits, so
@@ -372,8 +371,20 @@ func derivePropThreads(opts *Options, numJobs int) {
 // engine's pool — per worker in goroutine mode, per task in pool mode —
 // so a stolen job never cold-allocates its O(n) propagation arrays.
 // body must tolerate running concurrently with itself; output
-// determinism comes from the callers' order-insensitive merges.
-func (e *Engine) forEachJob(opts *Options, numJobs int, done <-chan struct{}, fail func(error), site, fire string, body func(s *scratch, j int)) {
+// determinism comes from the callers' order-insensitive merges. The
+// error is the first failure, else the caller's cancellation.
+func (e *Engine) forEachJob(ctx context.Context, opts *Options, numJobs int, site, fire string, body func(s *scratch, j int)) error {
+	qctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var failOnce sync.Once
+	var failErr error
+	fail := func(err error) {
+		failOnce.Do(func() {
+			failErr = err
+			cancel()
+		})
+	}
+	done := qctx.Done()
 	contain := func(j int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -395,42 +406,48 @@ func (e *Engine) forEachJob(opts *Options, numJobs int, done <-chan struct{}, fa
 			tc.Spawn(g, func(*sched.TC) { contain(j) })
 		}
 		g.Wait(tc)
-		return
-	}
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	if threads > numJobs {
-		threads = numJobs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Contain invariant panics (negative deviation cost,
-			// deviation head off parent path, or anything else): one
-			// poisoned design must fail its query, not the process.
-			defer func() {
-				if r := recover(); r != nil {
-					fail(qerr.FromPanic(site, r))
+	} else {
+		threads := opts.Threads
+		if threads <= 0 {
+			threads = runtime.GOMAXPROCS(0)
+		}
+		if threads > numJobs {
+			threads = numJobs
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < threads; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Contain invariant panics (negative deviation cost,
+				// deviation head off parent path, or anything else): one
+				// poisoned design must fail its query, not the process.
+				defer func() {
+					if r := recover(); r != nil {
+						fail(qerr.FromPanic(site, r))
+					}
+				}()
+				s := e.getScratch(done)
+				defer e.putScratch(s)
+				for {
+					j := int(next.Add(1) - 1)
+					if j >= numJobs || s.canceled() {
+						return
+					}
+					faultinject.Fire(fire)
+					body(s, j)
 				}
 			}()
-			s := e.getScratch(done)
-			defer e.putScratch(s)
-			for {
-				j := int(next.Add(1) - 1)
-				if j >= numJobs || s.canceled() {
-					return
-				}
-				faultinject.Fire(fire)
-				body(s, j)
-			}
-		}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	if failErr != nil {
+		return failErr
+	}
+	// Check the caller's context, not qctx: qctx is also canceled by our
+	// own deferred cancel and by fail().
+	return qerr.FromContext(ctx)
 }
 
 // TopPaths returns the global top-k post-CPPR critical paths
@@ -440,6 +457,15 @@ func (e *Engine) forEachJob(opts *Options, numJobs int, done <-chan struct{}, fa
 // and a panic in any worker is contained and returned as a
 // *qerr.InternalError instead of crashing the process.
 func (e *Engine) TopPaths(ctx context.Context, opts Options) (Result, error) {
+	return e.topPaths(ctx, opts, nil)
+}
+
+// topPaths is the one top-k procedure behind TopPaths (mc == nil) and
+// TopPathsMemo. Its jobs differ only in how each produces its filtered
+// candidates: a cold job runs under the shared global bound and leaves
+// pins to be reconstructed on acceptance, a cached job (memoJob) serves,
+// patches or re-runs with its pins already materialised.
+func (e *Engine) topPaths(ctx context.Context, opts Options, mc *MemoCtx) (Result, error) {
 	if err := qerr.FromContext(ctx); err != nil {
 		return Result{}, err
 	}
@@ -455,7 +481,7 @@ func (e *Engine) TopPaths(ctx context.Context, opts Options) (Result, error) {
 	// filtered candidates under the total order (slack, job, idx), which
 	// makes the surviving set independent of job completion order and
 	// therefore of the thread count.
-	less := func(a, b *jobOut) bool {
+	global := mmheap.New(func(a, b *jobOut) bool {
 		if a.slack != b.slack {
 			return a.slack < b.slack
 		}
@@ -463,35 +489,28 @@ func (e *Engine) TopPaths(ctx context.Context, opts Options) (Result, error) {
 			return a.job < b.job
 		}
 		return a.idx < b.idx
-	}
-	global := mmheap.New(less)
+	})
 	var bound globalBound
 	var mu sync.Mutex
-
-	// fail records the first worker failure and cancels the derived
-	// context so the remaining workers stop promptly.
-	qctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var failOnce sync.Once
-	var failErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			cancel()
-		})
-	}
-	done := qctx.Done()
-
 	var candidates, kept, reconstructed atomic.Int64
-	e.forEachJob(&opts, numJobs, done, fail, "core.TopPaths", "core.worker", func(s *scratch, j int) {
-		outs, produced := e.runJob(s, jobs[j], j, k, opts, &bound)
+	err := e.forEachJob(ctx, &opts, numJobs, "core.TopPaths", "core.worker", func(s *scratch, j int) {
+		var outs []*jobOut
+		var produced int
+		if mc == nil {
+			outs, produced = e.runJob(s, jobs[j], j, k, opts, &bound)
+		} else {
+			var rebuilt int
+			outs, produced, rebuilt = e.memoJob(s, jobs[j], j, k, opts, mc)
+			reconstructed.Add(int64(rebuilt))
+		}
 		candidates.Add(int64(produced))
 		kept.Add(int64(len(outs)))
 		mu.Lock()
+		defer mu.Unlock()
 		for _, o := range outs {
-			if global.PushBounded(o, k) {
-				// Materialise the pins while this worker's propagation
-				// arrays are still intact.
+			// Cold outputs materialise their pins only on acceptance,
+			// while this worker's propagation arrays are still intact.
+			if global.PushBounded(o, k) && o.pins == nil {
 				o.pins = e.reconstruct(s.prop, o.chain)
 				reconstructed.Add(1)
 			}
@@ -501,28 +520,24 @@ func (e *Engine) TopPaths(ctx context.Context, opts Options) (Result, error) {
 				bound.publish(m.slack)
 			}
 		}
-		mu.Unlock()
 	})
-	if failErr != nil {
-		return Result{}, failErr
-	}
-	// Check the caller's context, not qctx: qctx is also canceled by our
-	// own deferred cancel and by fail().
-	if err := qerr.FromContext(ctx); err != nil {
+	if err != nil {
 		return Result{}, err
 	}
 
-	outs := make([]*jobOut, 0, global.Len())
+	paths := make([]model.Path, 0, global.Len())
 	for {
 		o, ok := global.PopMin()
 		if !ok {
 			break
 		}
-		outs = append(outs, o)
-	}
-	paths := make([]model.Path, len(outs))
-	for i, o := range outs {
-		paths[i] = e.materialise(opts.Mode, o)
+		p := e.materialise(opts.Mode, o)
+		if mc != nil {
+			// Cached pin slices are shared across queries; reports own
+			// their pins, so hand out a copy.
+			p.Pins = append([]model.PinID(nil), p.Pins...)
+		}
+		paths = append(paths, p)
 	}
 	return Result{
 		Paths: paths,
@@ -630,160 +645,100 @@ func (e *Engine) jobSlack(setup bool, capArr model.Window, ff *model.FF, dAt mod
 	return dAt - (capArr.Late + ff.Hold) - e.d.Uncertainty[model.Hold]
 }
 
-// groupedTables resolves a grouped job's shared level table and seed
-// universe: the per-level cut over FFs below it for level jobs; the
-// domain (or domain × parity, under same_transition) grouping over
-// every FF for the cross-domain job.
-func (e *Engine) groupedTables(spec jobSpec, opts Options) (*lca.LevelTables, []model.FFID) {
-	if spec.kind == jobLevel {
+// jobTables resolves a job's grouping table and seed universe: the
+// per-level cut over FFs below it for level jobs; the domain (or
+// domain × parity, under same_transition) grouping over every FF for
+// the cross-domain job; no table and every FF for the ungrouped jobs.
+// The seed universe is also the job's capture universe: an FF outside a
+// grouped job's list has no group under its cut.
+func (e *Engine) jobTables(spec jobSpec, opts Options) (*lca.LevelTables, []model.FFID) {
+	switch {
+	case spec.kind == jobLevel:
 		return e.tree.SharedLevel(spec.level), e.tree.LevelFFs(spec.level)
-	}
-	if opts.CRPR == model.CRPRSameTransition {
+	case spec.kind != jobCross:
+		return nil, e.tree.AllFFs()
+	case opts.CRPR == model.CRPRSameTransition:
 		return e.tree.SharedCrossParity(), e.tree.AllFFs()
+	default:
+		return e.tree.SharedCrossDomain(), e.tree.AllFFs()
 	}
-	return e.tree.SharedCrossDomain(), e.tree.AllFFs()
+}
+
+// ffSeed returns the tuple spec seeds at FF i's Q pin, if any: the
+// launch clock arrival plus CK->Q, offset by the grouping's credit so
+// propagated arrivals rank paths by slack(p, d) (Definition 3) —
+// Algorithm 2's credit at the cut for level and cross jobs, Algorithm
+// 3's full credit for self-loops, none for PO launches. lt is the job's
+// table from jobTables.
+func (e *Engine) ffSeed(spec jobSpec, lt *lca.LevelTables, i int, opts *Options) (sta.Tuple, bool) {
+	if spec.kind == jobPI || opts.launchExcluded(i) {
+		return sta.Tuple{}, false
+	}
+	ff := &e.d.FFs[i]
+	gid := sta.NoGroup
+	var credit model.Time
+	switch spec.kind {
+	case jobLevel, jobCross:
+		if gid = e.tree.GroupOf(lt, ff.Clock); gid < 0 {
+			return sta.Tuple{}, false // depth(u) <= d
+		}
+		credit = e.tree.CreditAtDOf(lt, ff.Clock)
+	case jobSelfLoop:
+		credit = e.tree.Credit(ff.Clock)
+	}
+	arr := e.tree.Arrival(ff.Clock)
+	t := arr.Early + e.ckq[i].Early + credit
+	if opts.Mode == model.Setup {
+		t = arr.Late + e.ckq[i].Late - credit
+	}
+	return sta.Tuple{Time: t, From: ff.Clock, Origin: ff.Clock, Group: gid, Valid: true}, true
+}
+
+// piSeed returns the tuple spec seeds at the i-th primary input, if
+// any: its external arrival (Algorithm 4), for the PI and PO jobs.
+func (e *Engine) piSeed(spec jobSpec, i int, opts *Options) (sta.Tuple, bool) {
+	pi := e.d.PIs[i]
+	if (spec.kind != jobPI && spec.kind != jobPO) || opts.ExcludeLaunchPin[pi] {
+		return sta.Tuple{}, false
+	}
+	t := e.d.PIArrival[i].Early
+	if opts.Mode == model.Setup {
+		t = e.d.PIArrival[i].Late
+	}
+	return sta.Tuple{Time: t, From: model.NoPin, Origin: pi, Group: sta.NoGroup, Valid: true}, true
 }
 
 // seedJob resets the propagation scratch and offers spec's seed tuples:
-// Q pins offset by the grouping's credit (Algorithm 2 for level jobs;
-// Algorithm 3's full-credit variant for self-loops; no credit for PO
-// launches) and primary inputs at their external arrivals (Algorithm 4).
+// FF Q pins in ascending FF order, then primary inputs (ffSeed, piSeed).
 // Returns false on cancellation.
 func (e *Engine) seedJob(s *scratch, spec jobSpec, opts Options) bool {
 	setup := opts.Mode == model.Setup
 	e.resetProp(s, &opts)
-	seedFFs := func(seeds []model.FFID, lt *lca.LevelTables) bool {
-		for si, fi := range seeds {
-			if si%cancelStride == 0 && s.canceled() {
-				return false
-			}
-			i := int(fi)
-			if opts.launchExcluded(i) {
-				continue
-			}
-			ff := &e.d.FFs[i]
-			gid := sta.NoGroup
-			var credit model.Time
-			switch spec.kind {
-			case jobLevel, jobCross:
-				// Seeds below the cut, offset by credit(f_d(u)) so
-				// propagated arrivals rank paths by slack(p, d)
-				// (Definition 3).
-				if gid = e.tree.GroupOf(lt, ff.Clock); gid < 0 {
-					continue // depth(u) <= d
-				}
-				credit = e.tree.CreditAtDOf(lt, ff.Clock)
-			case jobSelfLoop:
-				credit = e.tree.Credit(ff.Clock)
-			case jobPO:
-				// Output checks compare pre-CPPR arrivals: no credit.
-			}
-			arr := e.tree.Arrival(ff.Clock)
-			var qAt model.Time
-			if setup {
-				qAt = arr.Late + e.ckq[i].Late - credit
-			} else {
-				qAt = arr.Early + e.ckq[i].Early + credit
-			}
-			s.prop.Offer(ff.Output, qAt, ff.Clock, ff.Clock, gid, setup)
-		}
-		return true
-	}
-	seedPIs := func() {
-		for i, pi := range e.d.PIs {
-			if opts.ExcludeLaunchPin != nil && opts.ExcludeLaunchPin[pi] {
-				continue
-			}
-			arr := e.d.PIArrival[i]
-			var t model.Time
-			if setup {
-				t = arr.Late
-			} else {
-				t = arr.Early
-			}
-			s.prop.Offer(pi, t, model.NoPin, pi, sta.NoGroup, setup)
-		}
-	}
-	switch spec.kind {
-	case jobLevel, jobCross:
-		lt, seeds := e.groupedTables(spec, opts)
-		return seedFFs(seeds, lt)
-	case jobSelfLoop:
-		return seedFFs(e.tree.AllFFs(), nil)
-	case jobPI:
-		seedPIs()
-		return true
-	default: // jobPO: every launch point, FF Q pins and PIs alike
-		if !seedFFs(e.tree.AllFFs(), nil) {
+	lt, seeds := e.jobTables(spec, opts)
+	for si, fi := range seeds {
+		if si%cancelStride == 0 && s.canceled() {
 			return false
 		}
-		seedPIs()
-		return true
+		if t, ok := e.ffSeed(spec, lt, int(fi), &opts); ok {
+			s.prop.Offer(e.d.FFs[fi].Output, t.Time, t.From, t.Origin, t.Group, setup)
+		}
 	}
+	for i, pi := range e.d.PIs {
+		if t, ok := e.piSeed(spec, i, &opts); ok {
+			s.prop.Offer(pi, t.Time, t.From, t.Origin, t.Group, setup)
+		}
+	}
+	return true
 }
 
-// collectJob builds spec's root candidates from the completed
-// propagation in s.prop and runs the top-k pop/deviate loop (Algorithm 5)
-// under the job's exactness filter. It reads only s.prop and s.heap, so
-// the patched recompute path can aim it at a retained propagation.
-func (e *Engine) collectJob(s *scratch, spec jobSpec, j, k int, opts Options, gb *globalBound) ([]*jobOut, int) {
+// roots visits spec's root candidates in the completed propagation in
+// s.prop, with their slacks: the best (grouped, for level and cross
+// jobs) arrival at each capture FF's D pin, or at each constrained PO
+// for the PO job. Returns false on cancellation.
+func (e *Engine) roots(s *scratch, spec jobSpec, opts *Options, visit func(pos model.PinID, capFF model.FFID, gid int32, slack model.Time)) bool {
 	setup := opts.Mode == model.Setup
-	s.heap.Reset()
-	switch spec.kind {
-	case jobLevel, jobCross:
-		// Root candidates: best grouped arrival at each capture D pin.
-		// Only FFs below the cut can capture at this level (gid >= 0),
-		// so the seed list is the capture universe too.
-		lt, seeds := e.groupedTables(spec, opts)
-		for si, fi := range seeds {
-			if si%cancelStride == 0 && s.canceled() {
-				return nil, 0
-			}
-			i := int(fi)
-			if opts.captureExcluded(i) {
-				continue
-			}
-			ff := &e.d.FFs[i]
-			gid := e.tree.GroupOf(lt, ff.Clock)
-			if gid < 0 {
-				continue
-			}
-			tup := s.prop.Auto(ff.Data, gid)
-			if !tup.Valid {
-				continue
-			}
-			slack := e.jobSlack(setup, e.tree.Arrival(ff.Clock), ff, tup.Time)
-			s.heap.PushBounded(int64(slack), &cand{
-				slack: slack,
-				pos:   ff.Data,
-				devTo: model.NoPin,
-				capFF: model.FFID(i),
-				gid:   gid,
-			}, k)
-		}
-	case jobSelfLoop, jobPI:
-		for i := range e.d.FFs {
-			if i%cancelStride == 0 && s.canceled() {
-				return nil, 0
-			}
-			if opts.captureExcluded(i) {
-				continue
-			}
-			ff := &e.d.FFs[i]
-			tup := s.prop.At(ff.Data)
-			if !tup.Valid {
-				continue
-			}
-			slack := e.jobSlack(setup, e.tree.Arrival(ff.Clock), ff, tup.Time)
-			s.heap.PushBounded(int64(slack), &cand{
-				slack: slack,
-				pos:   ff.Data,
-				devTo: model.NoPin,
-				capFF: model.FFID(i),
-				gid:   noGroupQuery,
-			}, k)
-		}
-	default: // jobPO: rank constrained POs against their required windows
+	if spec.kind == jobPO {
+		// Rank constrained POs against their required windows.
 		for i, po := range e.d.POs {
 			if !e.d.POConstrained[i] {
 				continue
@@ -792,21 +747,48 @@ func (e *Engine) collectJob(s *scratch, spec jobSpec, j, k int, opts Options, gb
 			if !tup.Valid {
 				continue
 			}
-			req := e.d.PORequired[i]
-			var slack model.Time
+			slack := tup.Time - e.d.PORequired[i].Early
 			if setup {
-				slack = req.Late - tup.Time
-			} else {
-				slack = tup.Time - req.Early
+				slack = e.d.PORequired[i].Late - tup.Time
 			}
-			s.heap.PushBounded(int64(slack), &cand{
-				slack: slack,
-				pos:   po,
-				devTo: model.NoPin,
-				capFF: model.NoFF,
-				gid:   noGroupQuery,
-			}, k)
+			visit(po, model.NoFF, noGroupQuery, slack)
 		}
+		return true
+	}
+	lt, seeds := e.jobTables(spec, *opts)
+	for si, fi := range seeds {
+		if si%cancelStride == 0 && s.canceled() {
+			return false
+		}
+		if opts.captureExcluded(int(fi)) {
+			continue
+		}
+		ff := &e.d.FFs[fi]
+		gid := noGroupQuery
+		if lt != nil {
+			if gid = e.tree.GroupOf(lt, ff.Clock); gid < 0 {
+				continue
+			}
+		}
+		tup := s.prop.Auto(ff.Data, gid)
+		if !tup.Valid {
+			continue
+		}
+		visit(ff.Data, fi, gid, e.jobSlack(setup, e.tree.Arrival(ff.Clock), ff, tup.Time))
+	}
+	return true
+}
+
+// collectJob runs spec's top-k pop/deviate loop (Algorithm 5) from its
+// root candidates under the job's exactness filter. It reads only
+// s.prop and s.heap, so the patched recompute path can aim it at a
+// retained propagation.
+func (e *Engine) collectJob(s *scratch, spec jobSpec, j, k int, opts Options, gb *globalBound) ([]*jobOut, int) {
+	s.heap.Reset()
+	if !e.roots(s, spec, &opts, func(pos model.PinID, capFF model.FFID, gid int32, slack model.Time) {
+		s.heap.PushBounded(int64(slack), &cand{slack: slack, pos: pos, devTo: model.NoPin, capFF: capFF, gid: gid}, k)
+	}) {
+		return nil, 0
 	}
 	return e.popAndFilter(s, j, k, opts, gb, e.jobKeep(spec, opts))
 }
@@ -829,7 +811,7 @@ func (e *Engine) jobKeep(spec jobSpec, opts Options) func(*jobOut) bool {
 			if opts.CRPR == model.CRPRSameTransition && e.tree.Parity(o.launch) != e.tree.Parity(capCK) {
 				return false
 			}
-			lcaNode := e.lcaOf(o.launch, capCK, opts)
+			lcaNode := e.tree.LCA(o.launch, capCK)
 			if lcaNode == model.NoPin || e.tree.Depth(lcaNode) != d {
 				return false
 			}
@@ -866,14 +848,6 @@ func (e *Engine) jobKeep(spec jobSpec, opts Options) func(*jobOut) bool {
 			return true
 		}
 	}
-}
-
-// lcaOf returns the LCA clock node under the configured query method.
-func (e *Engine) lcaOf(u, v model.PinID, opts Options) model.PinID {
-	if opts.UseLiftingLCA {
-		return e.tree.LCALifting(u, v)
-	}
-	return e.tree.LCA(u, v)
 }
 
 // popAndFilter is the top-k pop/deviate loop of Algorithm 5 shared by all
@@ -1080,29 +1054,7 @@ func (e *Engine) EndpointSlacksCPPR(ctx context.Context, opts Options) ([]Endpoi
 	derivePropThreads(&opts, len(jobs))
 
 	var mu sync.Mutex
-	merge := func(slacks []model.Time, valid []bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := range out {
-			if valid[i] && (!out[i].Valid || slacks[i] < out[i].Slack) {
-				out[i].Slack, out[i].Valid = slacks[i], true
-			}
-		}
-	}
-
-	qctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var failOnce sync.Once
-	var failErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			cancel()
-		})
-	}
-	done := qctx.Done()
-
-	e.forEachJob(&opts, len(jobs), done, fail, "core.EndpointSlacksCPPR", "core.endpoint.worker", func(s *scratch, j int) {
+	err := e.forEachJob(ctx, &opts, len(jobs), "core.EndpointSlacksCPPR", "core.endpoint.worker", func(s *scratch, j int) {
 		if jobs[j].kind == jobPO {
 			return // PO endpoints are not FF tests
 		}
@@ -1111,12 +1063,15 @@ func (e *Engine) EndpointSlacksCPPR(ctx context.Context, opts Options) ([]Endpoi
 		if s.canceled() {
 			return // partial endpointBest output; don't merge
 		}
-		merge(slacks, valid)
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range out {
+			if valid[i] && (!out[i].Valid || slacks[i] < out[i].Slack) {
+				out[i].Slack, out[i].Valid = slacks[i], true
+			}
+		}
 	})
-	if failErr != nil {
-		return nil, failErr
-	}
-	if err := qerr.FromContext(ctx); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -1129,126 +1084,18 @@ type EndpointCPPRSlack struct {
 	Valid bool
 }
 
-// endpointBest runs one job's seeding/propagation and records the best
-// slack at every capture FF (the root-candidate values of Algorithm 5)
-// into slacks/valid.
+// endpointBest runs one job's seeding and propagation and records its
+// root-candidate slack (Algorithm 5) at every capture FF into
+// slacks/valid.
 func (e *Engine) endpointBest(s *scratch, spec jobSpec, opts Options, slacks []model.Time, valid []bool) {
-	setup := opts.Mode == model.Setup
 	for i := range valid {
 		valid[i] = false
 	}
-	e.resetProp(s, &opts)
-	var lt *lca.LevelTables
-	var seeds []model.FFID
-	switch spec.kind {
-	case jobLevel:
-		lt = e.tree.SharedLevel(spec.level)
-		seeds = e.tree.LevelFFs(spec.level)
-	case jobCross:
-		if opts.CRPR == model.CRPRSameTransition {
-			lt = e.tree.SharedCrossParity()
-		} else {
-			lt = e.tree.SharedCrossDomain()
-		}
-		seeds = e.tree.AllFFs()
-	case jobSelfLoop:
-		for i := range e.d.FFs {
-			if i%cancelStride == 0 && s.canceled() {
-				return
-			}
-			if opts.launchExcluded(i) {
-				continue
-			}
-			ff := &e.d.FFs[i]
-			arr := e.tree.Arrival(ff.Clock)
-			credit := e.tree.Credit(ff.Clock)
-			var qAt model.Time
-			if setup {
-				qAt = arr.Late + e.ckq[i].Late - credit
-			} else {
-				qAt = arr.Early + e.ckq[i].Early + credit
-			}
-			s.prop.Offer(ff.Output, qAt, ff.Clock, ff.Clock, sta.NoGroup, setup)
-		}
-	case jobPI:
-		for i, pi := range e.d.PIs {
-			if opts.ExcludeLaunchPin != nil && opts.ExcludeLaunchPin[pi] {
-				continue
-			}
-			arr := e.d.PIArrival[i]
-			var t model.Time
-			if setup {
-				t = arr.Late
-			} else {
-				t = arr.Early
-			}
-			s.prop.Offer(pi, t, model.NoPin, pi, sta.NoGroup, setup)
-		}
-	}
-	if lt != nil {
-		for si, fi := range seeds {
-			if si%cancelStride == 0 && s.canceled() {
-				return
-			}
-			i := int(fi)
-			if opts.launchExcluded(i) {
-				continue
-			}
-			ff := &e.d.FFs[i]
-			gid := e.tree.GroupOf(lt, ff.Clock)
-			if gid < 0 {
-				continue
-			}
-			arr := e.tree.Arrival(ff.Clock)
-			credit := e.tree.CreditAtDOf(lt, ff.Clock)
-			var qAt model.Time
-			if setup {
-				qAt = arr.Late + e.ckq[i].Late - credit
-			} else {
-				qAt = arr.Early + e.ckq[i].Early + credit
-			}
-			s.prop.Offer(ff.Output, qAt, ff.Clock, ff.Clock, gid, setup)
-		}
-	}
-	e.runProp(s, setup, &opts)
-	if lt != nil {
-		// Only the job's seed FFs can be valid captures here: any FF
-		// outside the list has gid < 0 under this cut.
-		for si, fi := range seeds {
-			if si%cancelStride == 0 && s.canceled() {
-				return
-			}
-			i := int(fi)
-			if opts.captureExcluded(i) {
-				continue
-			}
-			ff := &e.d.FFs[i]
-			gid := e.tree.GroupOf(lt, ff.Clock)
-			if gid < 0 {
-				continue
-			}
-			tup := s.prop.Auto(ff.Data, gid)
-			if !tup.Valid {
-				continue
-			}
-			slacks[i] = e.jobSlack(setup, e.tree.Arrival(ff.Clock), ff, tup.Time)
-			valid[i] = true
-		}
+	if !e.seedJob(s, spec, opts) {
 		return
 	}
-	for i := range e.d.FFs {
-		if i%cancelStride == 0 && s.canceled() {
-			return
-		}
-		if opts.captureExcluded(i) {
-			continue
-		}
-		ff := &e.d.FFs[i]
-		tup := s.prop.At(ff.Data)
-		if !tup.Valid {
-			continue
-		}
-		slacks[i] = e.jobSlack(setup, e.tree.Arrival(ff.Clock), ff, tup.Time)
-		valid[i] = true
-	}
+	e.runProp(s, opts.Mode == model.Setup, &opts)
+	e.roots(s, spec, &opts, func(_ model.PinID, capFF model.FFID, _ int32, slack model.Time) {
+		slacks[capFF], valid[capFF] = slack, true
+	})
 }

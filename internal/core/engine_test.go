@@ -148,16 +148,6 @@ func TestThreadCountDeterminism(t *testing.T) {
 	}
 }
 
-func TestLCAMethodsAgree(t *testing.T) {
-	d := gen.MustGenerate(gen.Medium(5))
-	e := NewEngine(d)
-	a := mustTopPaths(t, e, Options{K: 50, Mode: model.Setup})
-	b := mustTopPaths(t, e, Options{K: 50, Mode: model.Setup, UseLiftingLCA: true})
-	if !equalSlacks(slacksOf(a.Paths), slacksOf(b.Paths)) {
-		t.Fatal("Euler and lifting LCA produce different results")
-	}
-}
-
 func TestTopPathsValidOnMediumDesign(t *testing.T) {
 	d := gen.MustGenerate(gen.Medium(33))
 	e := NewEngine(d)
@@ -359,17 +349,5 @@ func TestGlobalBoundPruningIsResultNeutral(t *testing.T) {
 			t.Errorf("mode %v: pruning did not reduce work (%d vs %d candidates)",
 				mode, with.Stats.Candidates, without.Stats.Candidates)
 		}
-	}
-}
-
-// TestLiftingLCAMultiDomain exercises the binary-lifting cross-domain
-// path (LCALifting returning NoPin).
-func TestLiftingLCAMultiDomain(t *testing.T) {
-	d := gen.MustGenerate(multiDomainSpec(4, 2))
-	e := NewEngine(d)
-	a := mustTopPaths(t, e, Options{K: 40, Mode: model.Setup})
-	b := mustTopPaths(t, e, Options{K: 40, Mode: model.Setup, UseLiftingLCA: true})
-	if !equalSlacks(slacksOf(a.Paths), slacksOf(b.Paths)) {
-		t.Fatal("lifting LCA disagrees on multi-domain design")
 	}
 }

@@ -8,12 +8,11 @@ import (
 	"fastcppr/model"
 )
 
-// alwaysValid is the no-edits-yet validator: every entry stays exact.
-func alwaysValid(uint64, *model.PinSet) bool { return true }
-
-func mustMemo(tb testing.TB, e *Engine, opts Options, c *JobCache, seq uint64, valid func(uint64, *model.PinSet) bool) Result {
+// mustMemo runs a memoized base-corner query on the snapshot whose
+// journal head is j (nil: no edits yet).
+func mustMemo(tb testing.TB, e *Engine, opts Options, c *JobCache, j *model.EditJournal) Result {
 	tb.Helper()
-	res, err := e.TopPathsMemo(context.Background(), opts, MemoCtx{Cache: c, Seq: seq, Valid: valid})
+	res, err := e.TopPathsMemo(context.Background(), opts, MemoCtx{Cache: c, Journal: j, Corner: model.BaseCorner})
 	if err != nil {
 		tb.Fatalf("TopPathsMemo: %v", err)
 	}
@@ -55,8 +54,8 @@ func TestTopPathsMemoMatchesTopPaths(t *testing.T) {
 					opts := Options{K: k, Mode: mode, DenseKernel: dense}
 					want := mustTopPaths(t, e, opts)
 					cache := NewJobCache(nil)
-					cold := mustMemo(t, e, opts, cache, 0, alwaysValid)
-					warm := mustMemo(t, e, opts, cache, 0, alwaysValid)
+					cold := mustMemo(t, e, opts, cache, nil)
+					warm := mustMemo(t, e, opts, cache, nil)
 					equalPaths(t, "cold memo", cold.Paths, want.Paths)
 					equalPaths(t, "warm memo", warm.Paths, want.Paths)
 					if cold.Stats.Jobs != want.Stats.Jobs || warm.Stats.Jobs != want.Stats.Jobs {
@@ -86,11 +85,11 @@ func TestTopPathsMemoKPrefixServing(t *testing.T) {
 	// the same entries: the pop stream's prefix property makes the
 	// truncated answers exact.
 	big := Options{K: 64, Mode: model.Setup}
-	mustMemo(t, e, big, cache, 0, alwaysValid)
+	mustMemo(t, e, big, cache, nil)
 	misses := ctr.Misses.Load()
 	for _, k := range []int{1, 3, 17, 64} {
 		opts := Options{K: k, Mode: model.Setup}
-		got := mustMemo(t, e, opts, cache, 0, alwaysValid)
+		got := mustMemo(t, e, opts, cache, nil)
 		want := mustTopPaths(t, e, opts)
 		equalPaths(t, "k-prefix", got.Paths, want.Paths)
 	}
@@ -100,7 +99,7 @@ func TestTopPathsMemoKPrefixServing(t *testing.T) {
 
 	// A larger budget than any entry forces re-runs — except for jobs
 	// whose stream already ran dry (exhausted entries serve any K).
-	mustMemo(t, e, Options{K: 128, Mode: model.Setup}, cache, 0, alwaysValid)
+	mustMemo(t, e, Options{K: 128, Mode: model.Setup}, cache, nil)
 	if ctr.Misses.Load() == misses {
 		t.Fatal("K=128 after K=64 should have re-run at least one non-exhausted job")
 	}
@@ -111,14 +110,36 @@ func TestTopPathsMemoKPrefixServing(t *testing.T) {
 	e2 := NewEngine(d2)
 	var ctr2 CacheCounters
 	cache2 := NewJobCache(&ctr2)
-	mustMemo(t, e2, Options{K: 512, Mode: model.Hold}, cache2, 0, alwaysValid)
+	mustMemo(t, e2, Options{K: 512, Mode: model.Hold}, cache2, nil)
 	m := ctr2.Misses.Load()
-	got := mustMemo(t, e2, Options{K: 1024, Mode: model.Hold}, cache2, 0, alwaysValid)
+	got := mustMemo(t, e2, Options{K: 1024, Mode: model.Hold}, cache2, nil)
 	want := mustTopPaths(t, e2, Options{K: 1024, Mode: model.Hold})
 	equalPaths(t, "exhausted upscale", got.Paths, want.Paths)
 	if ctr2.Misses.Load() != m {
 		t.Fatalf("exhausted entries re-ran on larger K: misses %d -> %d", m, ctr2.Misses.Load())
 	}
+}
+
+// dirtyEveryJob appends to j, for every job of opts' plan, one
+// base-corner edit of a data arc whose source lies in the job's cone.
+// The design's delays are left as they are, so reports stay unchanged.
+func dirtyEveryJob(tb testing.TB, e *Engine, opts Options, j *model.EditJournal) *model.EditJournal {
+	tb.Helper()
+	for _, spec := range e.jobPlan(opts) {
+		cone := e.jobCone(spec)
+		found := false
+		for _, a := range e.d.Arcs {
+			if !e.d.IsClockPin(a.From) && cone.Contains(a.From) {
+				j = j.Append(model.BaseCorner, a.From, a.To)
+				found = true
+				break
+			}
+		}
+		if !found {
+			tb.Fatalf("job %+v: no data arc leaves its cone", spec)
+		}
+	}
+	return j
 }
 
 func TestTopPathsMemoInvalidation(t *testing.T) {
@@ -129,46 +150,52 @@ func TestTopPathsMemoInvalidation(t *testing.T) {
 	opts := Options{K: 20, Mode: model.Setup}
 	want := mustTopPaths(t, e, opts)
 
-	mustMemo(t, e, opts, cache, 0, alwaysValid)
+	mustMemo(t, e, opts, cache, nil)
 	entries := cache.Len()
 	if entries == 0 {
 		t.Fatal("no entries cached")
 	}
 
-	// A validator that reports every cone dirty: all entries must be
-	// dropped and re-run, and the rebuilt answer must still be exact.
-	got := mustMemo(t, e, opts, cache, 1, func(uint64, *model.PinSet) bool { return false })
+	// An edit inside every job's cone: all entries must be refused and
+	// recomputed, and the rebuilt answer must still be exact.
+	j := dirtyEveryJob(t, e, opts, nil)
+	got := mustMemo(t, e, opts, cache, j)
 	equalPaths(t, "after invalidation", got.Paths, want.Paths)
 	if inv := ctr.Invalidated.Load(); inv != int64(entries) {
 		t.Fatalf("Invalidated = %d, want %d (every entry)", inv, entries)
 	}
 
-	// Entries were re-stored at seq 1; a validator that certifies them
-	// serves the whole query from cache.
-	rec := mustMemo(t, e, opts, cache, 1, func(seq uint64, _ *model.PinSet) bool { return seq >= 1 }).Stats.Reconstructed
-	if rec != 0 {
+	// Entries were re-stored at j's head: a query there serves the
+	// whole report from cache.
+	if rec := mustMemo(t, e, opts, cache, j).Stats.Reconstructed; rec != 0 {
 		t.Fatalf("revalidated query reconstructed %d, want 0", rec)
 	}
 }
 
-// TestTopPathsMemoSeqBump checks the walk-shortening contract: a
-// successful reuse advances the entry's seq, so the next validation
-// starts from the later sequence number.
+// TestTopPathsMemoSeqBump checks the walk-shortening contract: a reuse
+// across an edit outside every cone is a cone skip and advances the
+// entry's watermark, so the next reuse at the same head is a plain hit.
 func TestTopPathsMemoSeqBump(t *testing.T) {
 	d := gen.MustGenerate(gen.SmallOracle(0))
 	e := NewEngine(d)
-	cache := NewJobCache(nil)
+	var ctr CacheCounters
+	cache := NewJobCache(&ctr)
 	opts := Options{K: 8, Mode: model.Setup}
-	mustMemo(t, e, opts, cache, 3, alwaysValid)
-	// Reuse at seq 9 bumps stored seqs from 3 to 9...
-	mustMemo(t, e, opts, cache, 9, alwaysValid)
-	// ...which this validator observes.
-	seen := make(map[uint64]bool)
-	mustMemo(t, e, opts, cache, 9, func(seq uint64, _ *model.PinSet) bool {
-		seen[seq] = true
-		return true
-	})
-	if seen[3] || !seen[9] {
-		t.Fatalf("entry seqs not bumped on reuse: saw %v, want only 9", seen)
+	mustMemo(t, e, opts, cache, nil)
+	entries := int64(cache.Len())
+	// Other-corner edits never dirty a base-corner entry.
+	a := d.Arcs[0]
+	j := (*model.EditJournal)(nil).Append(1, a.From, a.To).Append(1, a.From, a.To)
+	hits := ctr.Hits.Load()
+	mustMemo(t, e, opts, cache, j)
+	if got := ctr.ConeSkips(); got != entries {
+		t.Fatalf("first reuse across the edits: %d cone skips, want %d (every entry)", got, entries)
+	}
+	mustMemo(t, e, opts, cache, j)
+	if got := ctr.ConeSkips(); got != entries {
+		t.Fatalf("watermarks not advanced on reuse: cone skips %d -> %d", entries, got)
+	}
+	if got := ctr.Hits.Load() - hits; got != 2*entries {
+		t.Fatalf("hits = %d, want %d", got, 2*entries)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"fastcppr/internal/lca"
 	"fastcppr/internal/sta"
 	"fastcppr/model"
 )
@@ -90,7 +89,7 @@ func (c *JobCache) setRetained(key jobKey, rp *retainedProp, pinCount int) {
 // cache's retained store, positioned at mc's journal head, so the next
 // edit that dirties this job can be served by patching. Dense-kernel
 // runs are not retained (the patch kernel is sparse-only).
-func (e *Engine) retainProp(s *scratch, cache *JobCache, key jobKey, mc MemoCtx) {
+func (e *Engine) retainProp(s *scratch, cache *JobCache, key jobKey, mc *MemoCtx) {
 	clone := s.prop.CloneSparse()
 	if clone == nil {
 		return
@@ -98,48 +97,22 @@ func (e *Engine) retainProp(s *scratch, cache *JobCache, key jobKey, mc MemoCtx)
 	cache.setRetained(key, &retainedProp{
 		prop:    clone,
 		journal: mc.Journal,
-		seq:     mc.Seq,
+		seq:     mc.Journal.Seq(),
 		owner:   cache,
 	}, e.d.NumPins())
 }
 
 // Fork returns an isolated copy of the cache for a snapshot forked at
-// journal sequence atSeq: a child timer's cache that shares the
-// parent's immutable entry data but diverges independently.
-//
-// Entries stored after atSeq are dropped (a concurrent parent edit may
-// have published them past the fork point), and each surviving entry's
-// validation watermark is clamped to atSeq: a watermark proves "no
-// dirtying edit in (storeSeq, watermark]" along the PARENT's chain, and
-// only the prefix up to atSeq is shared with the child — beyond it the
-// chains diverge and the parent's proofs say nothing about the child's
-// edits. Retained propagations are shared by pointer; the owner marker
-// makes child patches borrow-and-restore instead of mutate-in-place.
-// Counters remain shared, so a timer's Stats aggregate across its forks.
+// journal sequence atSeq: the entries fork under the JournalCache rule,
+// and retained propagations are shared by pointer, the owner marker
+// making child patches borrow-and-restore instead of mutate-in-place.
+// The retention charge carries over with them, so a fork cannot retain
+// past the budget its parent already spent. Counters remain shared, so
+// a timer's Stats aggregate across its forks.
 func (c *JobCache) Fork(atSeq uint64) *JobCache {
-	nc := &JobCache{ctr: c.ctr}
-	cur := *c.idx.Load()
-	m := make(map[jobKey]*jobEntry, len(cur))
-	for k, e := range cur {
-		if e.storeSeq > atSeq {
-			continue
-		}
-		ne := &jobEntry{
-			storeSeq:  e.storeSeq,
-			k:         e.k,
-			exhausted: e.exhausted,
-			produced:  e.produced,
-			cone:      e.cone,
-			outs:      e.outs,
-		}
-		w := e.seq.Load()
-		if w > atSeq {
-			w = atSeq
-		}
-		ne.seq.Store(w)
-		m[k] = ne
-	}
-	nc.idx.Store(&m)
+	nc := &JobCache{jobs: c.jobs.Fork(atSeq), ctr: c.ctr}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if rm := c.ret.Load(); rm != nil {
 		nrm := make(map[jobKey]*retainedProp, len(*rm))
 		for k, v := range *rm {
@@ -147,90 +120,42 @@ func (c *JobCache) Fork(atSeq uint64) *JobCache {
 		}
 		nc.ret.Store(&nrm)
 	}
+	nc.retBytes.Store(c.retBytes.Load())
 	return nc
 }
 
 // MemoCtx carries the snapshot-chain context TopPathsMemo validates and
-// patches against: the per-corner cache, the snapshot's journal head and
-// sequence, the corner the engine computes at, and the entry validator
-// (which the caller builds from the journal so it can also count
-// cone-disjoint skips).
+// patches against: the per-corner cache, the snapshot's journal head,
+// and the corner the engine computes at.
 type MemoCtx struct {
 	Cache   *JobCache
-	Seq     uint64
 	Journal *model.EditJournal
 	Corner  model.Corner
-	Valid   func(entrySeq uint64, cone *model.PinSet) bool
 }
 
 // jobSeedFn returns the per-pin view of seedJob: the tuple spec would
 // offer at pin v before propagation, if any. sta.PatchSparse uses it to
-// replay a dirty pin's canonical offer order. Must agree exactly with
-// seedJob — both are generated from the same grouped tables — and stays
-// valid across journaled edits because those never move clock arrivals,
-// CK->Q windows, or constraints (such changes rebuild the snapshot).
+// replay a dirty pin's canonical offer order. It shares ffSeed and
+// piSeed with seedJob, and stays valid across journaled edits because
+// those never move clock arrivals, CK->Q windows, or constraints (such
+// changes rebuild the snapshot).
 func (e *Engine) jobSeedFn(spec jobSpec, opts Options) func(model.PinID) (sta.Tuple, bool) {
-	setup := opts.Mode == model.Setup
-	var lt *lca.LevelTables
-	if spec.kind == jobLevel || spec.kind == jobCross {
-		lt, _ = e.groupedTables(spec, opts)
-	}
+	lt, _ := e.jobTables(spec, opts)
 	var piIndex map[model.PinID]int // lazily built; PI seeds are rarely in a dirty cone
 	return func(v model.PinID) (sta.Tuple, bool) {
 		switch e.d.Pins[v].Kind {
 		case model.FFOutput:
-			if spec.kind == jobPI {
-				return sta.Tuple{}, false
-			}
-			i := int(e.d.Pins[v].FF)
-			if opts.launchExcluded(i) {
-				return sta.Tuple{}, false
-			}
-			ff := &e.d.FFs[i]
-			gid := sta.NoGroup
-			var credit model.Time
-			switch spec.kind {
-			case jobLevel, jobCross:
-				if gid = e.tree.GroupOf(lt, ff.Clock); gid < 0 {
-					return sta.Tuple{}, false
-				}
-				credit = e.tree.CreditAtDOf(lt, ff.Clock)
-			case jobSelfLoop:
-				credit = e.tree.Credit(ff.Clock)
-			}
-			arr := e.tree.Arrival(ff.Clock)
-			var qAt model.Time
-			if setup {
-				qAt = arr.Late + e.ckq[i].Late - credit
-			} else {
-				qAt = arr.Early + e.ckq[i].Early + credit
-			}
-			return sta.Tuple{Time: qAt, From: ff.Clock, Origin: ff.Clock, Group: gid, Valid: true}, true
+			return e.ffSeed(spec, lt, int(e.d.Pins[v].FF), &opts)
 		case model.PI:
-			if spec.kind != jobPI && spec.kind != jobPO {
-				return sta.Tuple{}, false
-			}
-			if opts.ExcludeLaunchPin != nil && opts.ExcludeLaunchPin[v] {
-				return sta.Tuple{}, false
-			}
 			if piIndex == nil {
 				piIndex = make(map[model.PinID]int, len(e.d.PIs))
 				for i, pi := range e.d.PIs {
 					piIndex[pi] = i
 				}
 			}
-			i, ok := piIndex[v]
-			if !ok {
-				return sta.Tuple{}, false
+			if i, ok := piIndex[v]; ok {
+				return e.piSeed(spec, i, &opts)
 			}
-			arr := e.d.PIArrival[i]
-			var t model.Time
-			if setup {
-				t = arr.Late
-			} else {
-				t = arr.Early
-			}
-			return sta.Tuple{Time: t, From: model.NoPin, Origin: v, Group: sta.NoGroup, Valid: true}, true
 		}
 		return sta.Tuple{}, false
 	}
@@ -251,20 +176,24 @@ func (e *Engine) runJobOn(s *scratch, prop *sta.Prop, spec jobSpec, j, k int, op
 // is the retained state plus a suffix of same-corner data-arc edits,
 // patches the edits' dirty cone in place (canonical-order replay, so the
 // result is byte-identical to a fresh run), and replays the collect
-// phase. Returns ok=false when no patch applies — divergent journal
-// chains, a clock-adjacent edit, or a vanished arc — and the caller
-// falls back to a full run.
+// phase. Returns ok=false when no patch applies — no retained state, the
+// dense kernel, divergent journal chains, a clock-adjacent edit, or a
+// vanished arc — and the caller falls back to a full run.
 //
-// When mc.Cache owns the retained state the patch is kept and the
-// journal position advanced; a forked cache borrows the state under the
-// entry mutex and restores it from the undo log, so speculative edits
-// never contaminate the parent's retained propagation.
-func (e *Engine) servePatched(s *scratch, rp *retainedProp, spec jobSpec, j, k int, opts Options, mc MemoCtx) ([]cachedOut, int, bool) {
+// When cache owns the retained state the patch is kept and the journal
+// position advanced; a forked cache borrows the state under the entry
+// mutex and restores it from the undo log, so speculative edits never
+// contaminate the parent's retained propagation.
+func (e *Engine) servePatched(s *scratch, cache *JobCache, key jobKey, spec jobSpec, j, k int, opts Options, mc *MemoCtx) (jobResult, bool) {
+	rp := cache.retained(key)
+	if rp == nil || opts.DenseKernel {
+		return jobResult{}, false
+	}
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	edits, ok := mc.Journal.SuffixEdits(rp.journal, mc.Corner, nil)
 	if !ok {
-		return nil, 0, false
+		return jobResult{}, false
 	}
 	// Resolve edits to arc indices. Duplicates (an arc edited twice in
 	// the suffix) are harmless: the design holds the final delay and the
@@ -276,15 +205,15 @@ func (e *Engine) servePatched(s *scratch, rp *retainedProp, spec jobSpec, j, k i
 			// replay assumes they cannot. (Such edits normally rebuild
 			// the snapshot and never reach the journal — this guard
 			// keeps the invariant local.)
-			return nil, 0, false
+			return jobResult{}, false
 		}
 		ai := e.d.ArcBetween(ed.Src, ed.Dst)
 		if ai < 0 {
-			return nil, 0, false
+			return jobResult{}, false
 		}
 		arcs = append(arcs, ai)
 	}
-	owner := rp.owner == mc.Cache
+	owner := rp.owner == cache
 	var undo *sta.PropUndo
 	if !owner {
 		undo = &rp.undo
@@ -297,28 +226,13 @@ func (e *Engine) servePatched(s *scratch, rp *retainedProp, spec jobSpec, j, k i
 		// The patch itself is not cancellable and is now complete: the
 		// retained state reflects the snapshot's journal even if the
 		// collect below is cut short.
-		rp.journal, rp.seq = mc.Journal, mc.Seq
+		rp.journal, rp.seq = mc.Journal, mc.Journal.Seq()
 	} else {
 		defer rp.prop.Unpatch(undo)
 	}
-	runOpts := opts
-	runOpts.DisableGlobalBound = true
-	var dummy globalBound
-	jobOuts, prod := e.runJobOn(s, rp.prop, spec, j, k, runOpts, &dummy)
+	outs, produced := e.runJobOn(s, rp.prop, spec, j, k, opts, &globalBound{})
 	if s.canceled() {
-		return nil, 0, false
+		return jobResult{}, false
 	}
-	outs := make([]cachedOut, len(jobOuts))
-	for i, o := range jobOuts {
-		outs[i] = cachedOut{
-			slack:    o.slack,
-			idx:      o.idx,
-			capFF:    o.capFF,
-			launch:   o.launch,
-			lcaDepth: o.lcaDepth,
-			credit:   o.credit,
-			pins:     e.reconstruct(rp.prop, o.chain),
-		}
-	}
-	return outs, prod, true
+	return jobResult{produced: produced, outs: e.materialiseOuts(rp.prop, outs)}, true
 }

@@ -47,7 +47,7 @@ func TestBatterySparseVsDenseKernels(t *testing.T) {
 
 // TestBatterySparseVsDenseMediumSeeds widens the net with seeded medium
 // random designs (different topology generator settings than the
-// presets) and the PO/lifting query variants.
+// presets) and the PO and multi-corner query variants.
 func TestBatterySparseVsDenseMediumSeeds(t *testing.T) {
 	for _, seed := range []int64{310, 311} {
 		d := gen.MustGenerate(gen.Medium(seed))
@@ -56,7 +56,6 @@ func TestBatterySparseVsDenseMediumSeeds(t *testing.T) {
 		for _, mode := range model.Modes {
 			CheckKernelsByteIdentical(t, timer, d, cppr.Query{K: 25, Mode: mode})
 			CheckKernelsByteIdentical(t, timer, d, cppr.Query{K: 25, Mode: mode, IncludePOs: true})
-			CheckKernelsByteIdentical(t, timer, d, cppr.Query{K: 25, Mode: mode, UseLiftingLCA: true})
 			CheckKernelsByteIdentical(t, timer, d, cppr.Query{K: 25, Mode: mode, Corners: cppr.CornerAll})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fastcppr/gen"
 	"fastcppr/model"
 )
 
@@ -29,8 +30,9 @@ func jitterCorner(t *testing.T, d *model.Design, seed int64) *model.Design {
 // TestLiftingVsEulerProperty compares the two LCA implementations
 // against each other over every pair class — FF clocks, internal
 // buffers, mixed — on random trees much deeper than the targeted
-// unit-test fixtures. The Euler-tour RMQ answer is the default path;
-// binary lifting is the ablation knob, and they must never diverge.
+// unit-test fixtures. The engine uses the Euler-tour RMQ answer; binary
+// lifting is an independent implementation kept as its cross-check, and
+// they must never diverge.
 func TestLiftingVsEulerProperty(t *testing.T) {
 	seeds := []int64{11, 12, 13, 14}
 	if testing.Short() {
@@ -54,6 +56,34 @@ func TestLiftingVsEulerProperty(t *testing.T) {
 				t.Fatalf("seed %d: LCADepth(%s,%s) = %d, want depth(%s) = %d", seed,
 					d.PinName(u), d.PinName(v), dep, d.PinName(euler), tr.Depth(euler))
 			}
+		}
+	}
+}
+
+// TestLiftingVsEulerMultiDomain extends the comparison to clock forests:
+// on designs with several clock domains both structures must also agree
+// that cross-domain pairs have no LCA (NoPin).
+func TestLiftingVsEulerMultiDomain(t *testing.T) {
+	for _, domains := range []int{2, 3} {
+		spec := gen.SmallOracle(int64(domains))
+		spec.NumDomains = domains
+		d := gen.MustGenerate(spec)
+		tr := New(d)
+		cross := 0
+		for _, u := range ffClockPins(d) {
+			for _, v := range ffClockPins(d) {
+				euler, lift := tr.LCA(u, v), tr.LCALifting(u, v)
+				if euler != lift {
+					t.Fatalf("domains %d: LCA(%s,%s): euler %s, lifting %s", domains,
+						d.PinName(u), d.PinName(v), d.PinName(euler), d.PinName(lift))
+				}
+				if euler == model.NoPin {
+					cross++
+				}
+			}
+		}
+		if cross == 0 {
+			t.Fatalf("domains %d: no cross-domain FF pair", domains)
 		}
 	}
 }
