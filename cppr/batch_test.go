@@ -3,6 +3,7 @@ package cppr
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,7 +14,9 @@ import (
 // TestReportBatchMatchesSerial runs a mixed batch — duplicate queries,
 // AlgoLCA queries differing only in K (served by one merged run),
 // different modes and algorithms — and checks every result against the
-// same query run serially.
+// same query run serially: whole paths for AlgoLCA, whose candidate
+// order is total so a K-merged member equals its solo run byte for
+// byte, and slacks for the baselines.
 func TestReportBatchMatchesSerial(t *testing.T) {
 	d := gen.MustGenerate(gen.Medium(11))
 	timer := NewTimer(d)
@@ -43,6 +46,12 @@ func TestReportBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if q.Algorithm == AlgoLCA {
+			if got, want := results[i].Report.Paths, serial.Paths; !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d: batch paths differ from serial:\n%+v\nvs\n%+v", i, got, want)
+			}
+			continue
+		}
 		got, want := sortedSlacks(results[i].Report.Paths), sortedSlacks(serial.Paths)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d paths, serial %d", i, len(got), len(want))
@@ -60,7 +69,8 @@ func TestReportBatchMatchesSerial(t *testing.T) {
 
 // TestReportBatchPrefixClipping pins the K-merging contract directly:
 // a K=3 member of a group served by a K=50 run gets exactly the 3-prefix
-// and never aliases the larger member's slice.
+// — the same paths, pins, launch, capture and credit included — and
+// never aliases the larger member's slice.
 func TestReportBatchPrefixClipping(t *testing.T) {
 	d := gen.MustGenerate(gen.Medium(5))
 	timer := NewTimer(d)
@@ -74,8 +84,8 @@ func TestReportBatchPrefixClipping(t *testing.T) {
 		t.Fatalf("got %d and %d paths", len(small), len(large))
 	}
 	for i := range small {
-		if small[i].Slack != large[i].Slack {
-			t.Fatalf("slack %d: %v vs %v — small report is not a prefix", i, small[i].Slack, large[i].Slack)
+		if !reflect.DeepEqual(small[i], large[i]) {
+			t.Fatalf("path %d: %+v vs %+v — small report is not a prefix", i, small[i], large[i])
 		}
 	}
 	// Mutating one member's slice must not leak into the other.

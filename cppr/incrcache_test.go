@@ -382,3 +382,28 @@ func TestKPrefixAcrossBudgets(t *testing.T) {
 		t.Fatal("K=90 after K=60 should have missed the query memo")
 	}
 }
+
+// TestWarmTruncationMatchesColdTies: a report served by truncating a
+// larger cached run equals a fresh NoCache run byte for byte, down to
+// which of two equal-slack paths takes a rank. On these designs the
+// k-th and (k+1)-th slacks tie; the candidate heaps' (slack, tie key)
+// total order is what makes the pops under a smaller budget a prefix
+// of the pops under a larger one.
+func TestWarmTruncationMatchesColdTies(t *testing.T) {
+	for seed := int64(300); seed <= 305; seed++ {
+		d := gen.MustGenerate(gen.Medium(seed))
+		for _, mode := range model.Modes {
+			for _, k := range []int{7, 25, 60} {
+				timer := NewTimer(d)
+				mustRun(t, timer, Query{K: 200, Mode: mode})
+				q := Query{K: k, Mode: mode}
+				got := reportBytes(t, d, mustRun(t, timer, q), mode, k)
+				q.NoCache = true
+				want := reportBytes(t, d, mustRun(t, NewTimer(d), q), mode, k)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d %v k=%d: warm report differs from cold:\n%s\nvs\n%s", seed, mode, k, got, want)
+				}
+			}
+		}
+	}
+}

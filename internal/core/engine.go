@@ -67,9 +67,11 @@ type Options struct {
 	// same-domain pairs then route through the cross-parity job instead
 	// of the level jobs.
 	CRPR model.CRPRMode
-	// DisableGlobalBound turns off the cross-job pruning on the shared
-	// k-th-best slack (ablation knob; results are identical either way,
-	// only the amount of skipped work changes).
+	// DisableGlobalBound turns off cold-run pruning: the cross-job stop
+	// on the shared k-th-best slack, the a-priori witness bound, and the
+	// sparse kernels' required-time bound (results are identical either
+	// way, only the amount of skipped work changes). Memoized runs set
+	// it, so the job cache stores full candidate streams.
 	DisableGlobalBound bool
 	// DenseKernel switches candidate propagation from the sparse
 	// frontier kernel (epoch reset + worklist over the seeded cone) back
@@ -131,6 +133,9 @@ type Engine struct {
 	// propagation array pair) across queries, so batch workloads do not
 	// re-allocate O(n) scratch per query. Shared by Rebind copies.
 	pool *sync.Pool
+	// bounds holds the cold-run bound tables per mode (bound.go), built
+	// on the engine's first cold query in that mode.
+	bounds *[2]modeBounds
 }
 
 // NewEngine preprocesses d (clock-tree structures, CK->Q lookup).
@@ -140,13 +145,17 @@ func NewEngine(d *model.Design) *Engine {
 
 // NewEngineWithTree is NewEngine reusing an existing lca.Tree.
 func NewEngineWithTree(d *model.Design, tree *lca.Tree) *Engine {
-	e := &Engine{d: d, tree: tree, ckq: make([]model.Window, len(d.FFs))}
+	return newEngine(d, tree, &sync.Pool{New: func() any { return &scratch{heap: mmheap.NewKey[*cand]()} }})
+}
+
+// newEngine builds an Engine over d and tree drawing scratch from pool.
+func newEngine(d *model.Design, tree *lca.Tree, pool *sync.Pool) *Engine {
+	e := &Engine{d: d, tree: tree, ckq: make([]model.Window, len(d.FFs)), pool: pool, bounds: new([2]modeBounds)}
 	for i := range d.FFs {
 		// The model guarantees Q is driven exactly by the CK->Q arc.
 		ai := d.FanIn(d.FFs[i].Output)[0]
 		e.ckq[i] = d.Arcs[ai].Delay
 	}
-	e.pool = &sync.Pool{New: func() any { return &scratch{heap: mmheap.NewKey[*cand]()} }}
 	return e
 }
 
@@ -157,12 +166,7 @@ func NewEngineWithTree(d *model.Design, tree *lca.Tree) *Engine {
 // arc table (CK->Q arcs launch from clock pins, so they are unchanged by
 // that precondition, but rebuilding keeps the cache self-consistent).
 func (e *Engine) Rebind(nd *model.Design) *Engine {
-	ne := &Engine{d: nd, tree: e.tree, ckq: make([]model.Window, len(nd.FFs)), pool: e.pool}
-	for i := range nd.FFs {
-		ai := nd.FanIn(nd.FFs[i].Output)[0]
-		ne.ckq[i] = nd.Arcs[ai].Delay
-	}
-	return ne
+	return newEngine(nd, e.tree, e.pool)
 }
 
 // Sibling returns an Engine over nd using tree for its clock-tree
@@ -172,12 +176,7 @@ func (e *Engine) Rebind(nd *model.Design) *Engine {
 // tree is Derive'd from e's tree, so the corners share the clock-tree
 // shape and the engines share per-worker scratch across corner queries.
 func (e *Engine) Sibling(nd *model.Design, tree *lca.Tree) *Engine {
-	ne := &Engine{d: nd, tree: tree, ckq: make([]model.Window, len(nd.FFs)), pool: e.pool}
-	for i := range nd.FFs {
-		ai := nd.FanIn(nd.FFs[i].Output)[0]
-		ne.ckq[i] = nd.Arcs[ai].Delay
-	}
-	return ne
+	return newEngine(nd, tree, e.pool)
 }
 
 // Design returns the engine's design.
@@ -223,7 +222,8 @@ type jobOut struct {
 }
 
 // scratch is per-worker reusable state. The candidate heap is the
-// key-specialised min-max heap: candidate slacks are its int64 keys.
+// key-specialised min-max heap: candidate slacks are its int64 keys,
+// rootTie and deviationTie its tie keys.
 // The propagation arrays come from the sta package's shared pool; the
 // per-level group/credit tables live on the lca.Tree, computed once and
 // shared by all workers. done carries the query's cancellation signal
@@ -285,12 +285,20 @@ const cancelStride = 2048
 // resetProp prepares the worker's propagation arrays for one job under
 // the selected kernel: an O(1) epoch bump either way, with the sparse
 // kernel additionally binding the design's topological order so seeding
-// Offers feed the frontier.
-func (e *Engine) resetProp(s *scratch, opts *Options) {
+// Offers feed the frontier. A cold sparse run (gb non-nil, global bound
+// enabled) also arms spec's required-time bound at the query's current
+// limit, so the kernel drops every tuple that cannot lead to a path
+// within it; the dense reference kernel never prunes.
+func (e *Engine) resetProp(s *scratch, spec jobSpec, opts *Options, gb *globalBound) {
 	if opts.DenseKernel {
 		s.prop.Reset(e.d.NumPins())
-	} else {
-		s.prop.ResetFor(e.d)
+		return
+	}
+	s.prop.ResetFor(e.d)
+	if gb != nil && !opts.DisableGlobalBound {
+		if b, ok := gb.limit(); ok {
+			s.prop.SetBound(e.modeBounds(opts.Mode).jobReq(spec), b)
+		}
 	}
 }
 
@@ -309,23 +317,34 @@ func (e *Engine) runProp(s *scratch, setup bool, opts *Options) {
 	}
 }
 
-// globalBound publishes the current global k-th best slack once the
+// globalBound is a cold query's limit on useful slacks: the smaller of
+// the a-priori witness bound B0 (prior, fixed before the jobs start; see
+// bound.go) and the live global k-th best slack, published once the
 // shared selection heap is full. Jobs stop popping when their next
-// candidate's slack strictly exceeds it: such candidates (and everything
+// candidate's slack strictly exceeds the limit, and their sparse runs
+// drop tuples whose every path would: such candidates (and everything
 // after them in their job's slack order) can never enter the global
-// top-k, so pruning on the bound cannot change results — it only skips
-// provably useless work. The bound tightens as jobs complete, so the
-// amount of skipped work varies run to run, but the output does not.
+// top-k, so pruning on the limit cannot change results — it only skips
+// provably useless work. The live bound tightens as jobs complete, so
+// the amount of skipped work varies run to run, but the output does not.
+// The zero value is unlimited.
 type globalBound struct {
-	val atomic.Int64
-	set atomic.Bool
+	val      atomic.Int64
+	set      atomic.Bool
+	prior    model.Time
+	hasPrior bool
 }
 
-func (g *globalBound) get() (model.Time, bool) {
+// limit returns the current limit, or ok=false while there is none.
+func (g *globalBound) limit() (model.Time, bool) {
 	if !g.set.Load() {
-		return 0, false
+		return g.prior, g.hasPrior
 	}
-	return model.Time(g.val.Load()), true
+	v := model.Time(g.val.Load())
+	if g.hasPrior && g.prior < v {
+		return g.prior, true
+	}
+	return v, true
 }
 
 func (g *globalBound) publish(v model.Time) {
@@ -491,6 +510,9 @@ func (e *Engine) topPaths(ctx context.Context, opts Options, mc *MemoCtx) (Resul
 		return a.idx < b.idx
 	})
 	var bound globalBound
+	if mc == nil && !opts.DisableGlobalBound {
+		bound.prior, bound.hasPrior = e.priorBound(&opts)
+	}
 	var mu sync.Mutex
 	var candidates, kept, reconstructed atomic.Int64
 	err := e.forEachJob(ctx, &opts, numJobs, "core.TopPaths", "core.worker", func(s *scratch, j int) {
@@ -625,7 +647,7 @@ func (e *Engine) jobPlan(opts Options) []jobSpec {
 // recompute path builds on: a retained propagation replaces the first
 // two phases and runJobOn replays only the collect phase against it.
 func (e *Engine) runJob(s *scratch, spec jobSpec, j, k int, opts Options, gb *globalBound) ([]*jobOut, int) {
-	if !e.seedJob(s, spec, opts) {
+	if !e.seedJob(s, spec, opts, gb) {
 		return nil, 0
 	}
 	e.runProp(s, opts.Mode == model.Setup, &opts)
@@ -643,6 +665,15 @@ func (e *Engine) jobSlack(setup bool, capArr model.Window, ff *model.FF, dAt mod
 		return capArr.Early + e.d.Period - ff.Setup - dAt - e.d.Uncertainty[model.Setup]
 	}
 	return dAt - (capArr.Late + ff.Hold) - e.d.Uncertainty[model.Hold]
+}
+
+// poSlack computes the output-check slack of the i-th primary output
+// for a data arrival at time dAt, against its required window.
+func (e *Engine) poSlack(setup bool, i int, dAt model.Time) model.Time {
+	if setup {
+		return e.d.PORequired[i].Late - dAt
+	}
+	return dAt - e.d.PORequired[i].Early
 }
 
 // jobTables resolves a job's grouping table and seed universe: the
@@ -708,12 +739,13 @@ func (e *Engine) piSeed(spec jobSpec, i int, opts *Options) (sta.Tuple, bool) {
 	return sta.Tuple{Time: t, From: model.NoPin, Origin: pi, Group: sta.NoGroup, Valid: true}, true
 }
 
-// seedJob resets the propagation scratch and offers spec's seed tuples:
-// FF Q pins in ascending FF order, then primary inputs (ffSeed, piSeed).
-// Returns false on cancellation.
-func (e *Engine) seedJob(s *scratch, spec jobSpec, opts Options) bool {
+// seedJob resets the propagation scratch (under gb's limit, if any; see
+// resetProp) and offers spec's seed tuples: FF Q pins in ascending FF
+// order, then primary inputs (ffSeed, piSeed). Returns false on
+// cancellation.
+func (e *Engine) seedJob(s *scratch, spec jobSpec, opts Options, gb *globalBound) bool {
 	setup := opts.Mode == model.Setup
-	e.resetProp(s, &opts)
+	e.resetProp(s, spec, &opts, gb)
 	lt, seeds := e.jobTables(spec, opts)
 	for si, fi := range seeds {
 		if si%cancelStride == 0 && s.canceled() {
@@ -747,11 +779,7 @@ func (e *Engine) roots(s *scratch, spec jobSpec, opts *Options, visit func(pos m
 			if !tup.Valid {
 				continue
 			}
-			slack := tup.Time - e.d.PORequired[i].Early
-			if setup {
-				slack = e.d.PORequired[i].Late - tup.Time
-			}
-			visit(po, model.NoFF, noGroupQuery, slack)
+			visit(po, model.NoFF, noGroupQuery, e.poSlack(setup, i, tup.Time))
 		}
 		return true
 	}
@@ -779,6 +807,25 @@ func (e *Engine) roots(s *scratch, spec jobSpec, opts *Options, visit func(pos m
 	return true
 }
 
+// A job's candidate heap orders by (slack, tie key). A root's tie key is
+// its endpoint pin (rootTie), a deviation's its parent's pop index plus
+// one, then its side arc's index (deviationTie). The keys are distinct
+// within a job and intrinsic to the candidate, so the heap pops
+// candidates in one total order whatever else it held: the pops under
+// budget k' are the first k' pops under any budget k >= k', and a
+// bounded run pops exactly what an unbounded run pops below its bound.
+// A child's key exceeds its parent's, so zero-cost deviations still pop
+// after their parents.
+
+// rootTie returns the tie key of the root candidate at endpoint pin.
+func rootTie(pin model.PinID) uint64 { return uint64(uint32(pin)) }
+
+// deviationTie returns the tie key of the deviation along arc from the
+// candidate popped at index parentPop.
+func deviationTie(parentPop int, arc int32) uint64 {
+	return uint64(parentPop+1)<<32 | uint64(uint32(arc))
+}
+
 // collectJob runs spec's top-k pop/deviate loop (Algorithm 5) from its
 // root candidates under the job's exactness filter. It reads only
 // s.prop and s.heap, so the patched recompute path can aim it at a
@@ -786,7 +833,11 @@ func (e *Engine) roots(s *scratch, spec jobSpec, opts *Options, visit func(pos m
 func (e *Engine) collectJob(s *scratch, spec jobSpec, j, k int, opts Options, gb *globalBound) ([]*jobOut, int) {
 	s.heap.Reset()
 	if !e.roots(s, spec, &opts, func(pos model.PinID, capFF model.FFID, gid int32, slack model.Time) {
-		s.heap.PushBounded(int64(slack), &cand{slack: slack, pos: pos, devTo: model.NoPin, capFF: capFF, gid: gid}, k)
+		// Most roots of a small-k job lose to the heap's maximum; check
+		// before allocating the candidate.
+		if tie := rootTie(pos); s.heap.Admits(int64(slack), tie, k) {
+			s.heap.PushBoundedTie(int64(slack), tie, &cand{slack: slack, pos: pos, devTo: model.NoPin, capFF: capFF, gid: gid}, k)
+		}
 	}) {
 		return nil, 0
 	}
@@ -869,18 +920,19 @@ func (e *Engine) popAndFilter(s *scratch, job, k int, opts Options, gb *globalBo
 			break
 		}
 		p := kv.V
-		// Global-bound pruning: once the shared selection holds k paths,
-		// candidates strictly beyond the k-th best slack — and everything
-		// this job would pop after them — can never be selected.
+		// Global-bound pruning: candidates strictly beyond the query's
+		// limit (B0, or the k-th best slack once the shared selection
+		// holds k paths) — and everything this job would pop after
+		// them — can never be selected.
 		if !opts.DisableGlobalBound {
-			if v, okB := gb.get(); okB && p.slack > v {
+			if v, okB := gb.limit(); okB && p.slack > v {
 				break
 			}
 		}
 		produced++
 		remaining := k - i - 1
 		if remaining > 0 {
-			e.pushDeviations(s, p, remaining, setup)
+			e.pushDeviations(s, p, i, remaining, setup)
 		}
 		o := &jobOut{
 			slack:  p.slack,
@@ -899,7 +951,8 @@ func (e *Engine) popAndFilter(s *scratch, job, k int, opts Options, gb *globalBo
 
 // pushDeviations walks backward from p.pos along from-pointers and pushes
 // one deviated candidate per non-path in-edge (Algorithm 5 lines 11–20).
-func (e *Engine) pushDeviations(s *scratch, p *cand, bound int, setup bool) {
+// pop is p's pop index, the first half of its children's tie keys.
+func (e *Engine) pushDeviations(s *scratch, p *cand, pop, bound int, setup bool) {
 	d := e.d
 	u := p.pos
 	for {
@@ -931,14 +984,13 @@ func (e *Engine) pushDeviations(s *scratch, p *cand, bound int, setup bool) {
 					cost, d.PinName(w), d.PinName(u)))
 			}
 			// Cheap pre-check before allocating the candidate: a full
-			// heap rejects anything at or past its current maximum.
+			// heap rejects anything not ordered before its maximum.
 			slack := p.slack + cost
-			if s.heap.Len() >= bound {
-				if m, _ := s.heap.MaxKey(); m <= int64(slack) {
-					continue
-				}
+			tie := deviationTie(pop, ai)
+			if !s.heap.Admits(int64(slack), tie, bound) {
+				continue
 			}
-			s.heap.PushBounded(int64(slack), &cand{
+			s.heap.PushBoundedTie(int64(slack), tie, &cand{
 				slack:  slack,
 				pos:    w,
 				parent: p,
@@ -1091,7 +1143,7 @@ func (e *Engine) endpointBest(s *scratch, spec jobSpec, opts Options, slacks []m
 	for i := range valid {
 		valid[i] = false
 	}
-	if !e.seedJob(s, spec, opts) {
+	if !e.seedJob(s, spec, opts, nil) {
 		return
 	}
 	e.runProp(s, opts.Mode == model.Setup, &opts)

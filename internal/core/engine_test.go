@@ -326,28 +326,90 @@ func TestStatsReconstructedBounded(t *testing.T) {
 }
 
 // TestGlobalBoundPruningIsResultNeutral verifies the pruning ablation:
-// identical paths with and without the bound, and strictly less work
-// with it on a design where most levels contribute nothing.
+// every cold-run bound — the live k-th best slack, the a-priori witness
+// bound B0 and the sparse kernels' required-time bound — leaves reports
+// byte-identical to DisableGlobalBound runs across k, modes, PO
+// endpoints, false-path exclusions, FilterCapture, same_transition on a
+// parity-mixed clock tree and partitioned kernels, and does strictly
+// less work on a design where most levels contribute nothing.
 func TestGlobalBoundPruningIsResultNeutral(t *testing.T) {
 	d := gen.MustGenerate(gen.Medium(61))
 	e := NewEngine(d)
-	for _, mode := range model.Modes {
-		with := mustTopPaths(t, e, Options{K: 300, Mode: mode, Threads: 1})
-		without := mustTopPaths(t, e, Options{K: 300, Mode: mode, Threads: 1, DisableGlobalBound: true})
-		if len(with.Paths) != len(without.Paths) {
-			t.Fatalf("mode %v: %d vs %d paths", mode, len(with.Paths), len(without.Paths))
-		}
-		for i := range with.Paths {
-			if with.Paths[i].Slack != without.Paths[i].Slack {
-				t.Fatalf("mode %v path %d differs", mode, i)
+	excl := Options{
+		ExcludeLaunchFF:  make([]bool, len(d.FFs)),
+		ExcludeCaptureFF: make([]bool, len(d.FFs)),
+		ExcludeLaunchPin: map[model.PinID]bool{d.PIs[0]: true},
+	}
+	for i := range d.FFs {
+		excl.ExcludeLaunchFF[i] = i%5 == 1
+		excl.ExcludeCaptureFF[i] = i%7 == 3
+	}
+	ev := NewEngine(gen.MustGenerate(gen.DivergentClock(3)))
+	spec, err := gen.PresetSpec("leon2", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := NewEngine(gen.MustGenerate(spec))
+	cases := []struct {
+		name string
+		e    *Engine
+		opts Options
+	}{
+		{"plain", e, Options{}},
+		{"pos", e, Options{IncludePOs: true}},
+		{"false-paths", e, excl},
+		{"filter", e, Options{FilterCapture: true, CaptureFF: 9}},
+		{"same-transition", ev, Options{CRPR: model.CRPRSameTransition}},
+		{"prop-threads", big, Options{PropThreads: 3}},
+	}
+	for _, c := range cases {
+		for _, mode := range model.Modes {
+			for _, k := range []int{1, 25, 300} {
+				opts := c.opts
+				opts.K, opts.Mode, opts.Threads = k, mode, 1
+				with := mustTopPaths(t, c.e, opts)
+				opts.DisableGlobalBound = true
+				without := mustTopPaths(t, c.e, opts)
+				equalPaths(t, fmt.Sprintf("%s %v k=%d", c.name, mode, k), with.Paths, without.Paths)
+				if c.name == "plain" && k == 300 && with.Stats.Candidates >= without.Stats.Candidates {
+					t.Errorf("mode %v: pruning did not reduce work (%d vs %d candidates)",
+						mode, with.Stats.Candidates, without.Stats.Candidates)
+				}
 			}
-			if fmt.Sprint(with.Paths[i].Pins) != fmt.Sprint(without.Paths[i].Pins) {
-				t.Fatalf("mode %v path %d pins differ", mode, i)
-			}
 		}
-		if with.Stats.Candidates >= without.Stats.Candidates {
-			t.Errorf("mode %v: pruning did not reduce work (%d vs %d candidates)",
-				mode, with.Stats.Candidates, without.Stats.Candidates)
+	}
+}
+
+// TestPriorBoundAboveTrueKth checks B0 against the brute-force oracle:
+// whenever the witnesses yield one, it is at least the true k-th best
+// post-CPPR slack, under both CRPR modes.
+func TestPriorBoundAboveTrueKth(t *testing.T) {
+	var specs []gen.Spec
+	for seed := int64(0); seed < 6; seed++ {
+		specs = append(specs, gen.SmallOracle(seed), gen.DivergentClock(seed))
+	}
+	for _, spec := range specs {
+		d := gen.MustGenerate(spec)
+		e := NewEngine(d)
+		for _, mode := range model.Modes {
+			for _, crpr := range []model.CRPRMode{model.CRPRSamePin, model.CRPRSameTransition} {
+				brute, err := baseline.BruteForceCRPR(context.Background(), d, mode, crpr, 1<<30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 2, 5, 20, len(d.FFs)} {
+					b0, ok := e.priorBound(&Options{K: k, Mode: mode, CRPR: crpr})
+					if !ok {
+						continue
+					}
+					if k > len(brute) {
+						t.Fatalf("%s %v %v k=%d: B0 %v from more witnesses than the %d paths", spec.Name, mode, crpr, k, b0, len(brute))
+					}
+					if kth := brute[k-1].Slack; b0 < kth {
+						t.Fatalf("%s %v %v k=%d: B0 %v below the true k-th slack %v", spec.Name, mode, crpr, k, b0, kth)
+					}
+				}
+			}
 		}
 	}
 }

@@ -86,8 +86,10 @@ func jobKeyCRPR(kind jobKind, crpr model.CRPRMode) model.CRPRMode {
 //
 // Serving smaller budgets is sound by the prefix property: the pop
 // sequence under budget k' <= k is exactly the first pops under budget
-// k truncated at idx < k' (deviation costs are non-negative, so the
-// bounded heap's evictions never touch the next `remaining` outputs).
+// k truncated at idx < k' (the candidate heap pops in one total order,
+// by slack and then rootTie/deviationTie, and deviation costs are
+// non-negative, so the bounded heap's evictions never touch the next
+// `remaining` outputs).
 // Serving LARGER budgets is sound only from an exhausted run: if the
 // job's heap ran dry before its budget (produced < k), no push was ever
 // evicted or bound-rejected — an eviction requires the heap to reach

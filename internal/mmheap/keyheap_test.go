@@ -133,3 +133,42 @@ func BenchmarkKeyHeapPushBounded(b *testing.B) {
 		h.PushBounded(vals[i%len(vals)], i, 256)
 	}
 }
+
+// TestKeyHeapTieOrder: with many equal keys, elements pop in (K, T)
+// order from both ends, and PushBoundedTie keeps exactly the bound
+// smallest pairs, whatever the push order.
+func TestKeyHeapTieOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	type pair struct {
+		k int64
+		t uint64
+	}
+	less := func(a, b pair) bool { return a.k < b.k || a.k == b.k && a.t < b.t }
+	for rep := 0; rep < 50; rep++ {
+		n := 1 + rng.Intn(200)
+		bound := 1 + rng.Intn(n)
+		var all []pair
+		h := NewKey[pair]()
+		for _, i := range rng.Perm(n) {
+			p := pair{int64(rng.Intn(4)), uint64(i)} // distinct T, few K
+			all = append(all, p)
+			if h.Admits(p.k, p.t, bound) != h.PushBoundedTie(p.k, p.t, p, bound) {
+				t.Fatalf("rep %d: Admits disagrees with PushBoundedTie for %v", rep, p)
+			}
+		}
+		sort.Slice(all, func(i, j int) bool { return less(all[i], all[j]) })
+		want := all[:bound]
+		if mx, _ := h.Max(); mx.V != want[bound-1] {
+			t.Fatalf("rep %d: Max %v, want %v", rep, mx.V, want[bound-1])
+		}
+		for i, w := range want {
+			kv, ok := h.PopMin()
+			if !ok || kv.V != w || kv.K != w.k || kv.T != w.t {
+				t.Fatalf("rep %d pop %d: got %+v, want %v", rep, i, kv, w)
+			}
+		}
+		if h.Len() != 0 {
+			t.Fatalf("rep %d: %d elements left", rep, h.Len())
+		}
+	}
+}

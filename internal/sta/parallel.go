@@ -209,7 +209,9 @@ func (p *Prop) RunSparseParallel(d *model.Design, setup bool, done <-chan struct
 
 // relaxSparse relaxes one live pin exactly like RunSparse's inner loop:
 // first touch writes both tuples in one pass and enqueues the sink,
-// otherwise the tuples go through offerSlot.
+// otherwise the tuples go through offerSlot. Under an armed bound a
+// shifted tuple beyond it is dropped; at' is never better than at, so
+// when the shifted at is dropped the shifted at' is too.
 func (p *Prop) relaxSparse(d *model.Design, u model.PinID, a, b Tuple, setup bool) {
 	for _, ai := range d.FanOut(u) {
 		arc := &d.Arcs[ai]
@@ -220,11 +222,18 @@ func (p *Prop) relaxSparse(d *model.Design, u model.PinID, a, b Tuple, setup boo
 			delay = arc.Delay.Early
 		}
 		v := arc.To
+		bValid := b.Valid
+		if p.req != nil {
+			if p.cut(v, a.Time+delay, setup) {
+				continue
+			}
+			bValid = bValid && !p.cut(v, b.Time+delay, setup)
+		}
 		sv := &p.slots[v]
 		if sv.stamp != p.epoch {
 			sv.stamp = p.epoch
 			sv.a = Tuple{Time: a.Time + delay, From: u, Origin: a.Origin, Group: a.Group, Valid: true}
-			if b.Valid {
+			if bValid {
 				sv.b = Tuple{Time: b.Time + delay, From: u, Origin: b.Origin, Group: b.Group, Valid: true}
 			} else {
 				sv.b = Tuple{}
@@ -233,7 +242,7 @@ func (p *Prop) relaxSparse(d *model.Design, u model.PinID, a, b Tuple, setup boo
 			continue
 		}
 		p.offerSlot(sv, a.Time+delay, u, a.Origin, a.Group, setup)
-		if b.Valid {
+		if bValid {
 			p.offerSlot(sv, b.Time+delay, u, b.Origin, b.Group, setup)
 		}
 	}
@@ -241,7 +250,8 @@ func (p *Prop) relaxSparse(d *model.Design, u model.PinID, a, b Tuple, setup boo
 
 // relaxSegment relaxes a contiguous run of live topological indices,
 // bucketing each arc's delay-shifted tuples into the sink owner's
-// hand-off buffer. Reads slots and the design only; writes nothing
+// hand-off buffer, less those beyond an armed bound (as relaxSparse).
+// Reads slots, the design and the bound's table only; writes nothing
 // shared.
 func (p *Prop) relaxSegment(d *model.Design, seg []int32, out [][]parOffer, nw int, setup bool) {
 	for o := 0; o < nw; o++ {
@@ -260,9 +270,16 @@ func (p *Prop) relaxSegment(d *model.Design, seg []int32, out [][]parOffer, nw i
 				delay = arc.Delay.Early
 			}
 			v := arc.To
+			bValid := b.Valid
+			if p.req != nil {
+				if p.cut(v, a.Time+delay, setup) {
+					continue
+				}
+				bValid = bValid && !p.cut(v, b.Time+delay, setup)
+			}
 			o := int(p.topoIndex[v]>>6) % nw
 			e := parOffer{to: v, a: Tuple{Time: a.Time + delay, From: u, Origin: a.Origin, Group: a.Group, Valid: true}}
-			if b.Valid {
+			if bValid {
 				e.b = Tuple{Time: b.Time + delay, From: u, Origin: b.Origin, Group: b.Group, Valid: true}
 			}
 			out[o] = append(out[o], e)

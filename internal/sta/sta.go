@@ -237,6 +237,75 @@ type Prop struct {
 
 	// inbuf is PatchSparse's reusable in-arc sort scratch (patch.go).
 	inbuf []int32
+
+	// req and bound arm the sparse kernels' slack bound (SetBound): a
+	// tuple offered at v with time t is dropped when its lower bound on
+	// any final slack through v, req[v]-t for setup or t+req[v] for
+	// hold, exceeds bound. req == nil means unbounded; ResetFor and
+	// Reset disarm it.
+	req   []model.Time
+	bound model.Time
+}
+
+// NoRequired is the own required time of a pin that is not an endpoint.
+// Pins that reach no endpoint end up within a path delay of it: far
+// beyond any real slack, so a bounded run drops every tuple there, and
+// close enough to zero that req-t and t+req cannot overflow. Required
+// treats it like any other value, which keeps the lower bound exactly
+// monotone along arcs.
+const NoRequired model.Time = 1 << 60
+
+// Required returns the per-pin required-time table a bounded sparse run
+// reads (SetBound). own[v] is endpoint v's own required time (NoRequired
+// for pins that are not endpoints): for setup the latest data arrival
+// that meets the check, for hold the negated earliest. Every pin's entry
+// is the tightest one over the endpoints it reaches, in one reverse
+// topological pass: for setup req[u] = min(own[u], req[v] - late(u->v)),
+// for hold req[u] = min(own[u], req[v] + early(u->v)). Then any path
+// through u that arrives there at t has final slack at least req[u]-t
+// (setup) or t+req[u] (hold).
+func Required(d *model.Design, setup bool, own []model.Time) []model.Time {
+	req := append([]model.Time(nil), own...)
+	for i := len(d.Topo) - 1; i >= 0; i-- {
+		u := d.Topo[i]
+		r := req[u]
+		for _, ai := range d.FanOut(u) {
+			arc := &d.Arcs[ai]
+			rv := req[arc.To]
+			if setup {
+				rv -= arc.Delay.Late
+			} else {
+				rv += arc.Delay.Early
+			}
+			if rv < r {
+				r = rv
+			}
+		}
+		req[u] = r
+	}
+	return req
+}
+
+// SetBound arms the sparse kernels (Offer, RunSparse, RunSparseParallel)
+// of a Prop prepared with ResetFor to drop every offered tuple whose
+// lower bound on the final slack strictly exceeds bound: req[v]-t for
+// setup, t+req[v] for hold, with req from Required. The lower bound is
+// monotone in t and depends only on (v, t), and it never decreases along
+// an arc, so the surviving tuples at every pin are exactly the unbounded
+// run's tuples whose lower bound is at most bound, first-offer tie-breaks
+// included (PROOFS.md, "Engineering additions"). The bound holds until
+// the next Reset or ResetFor; the dense kernel ignores it.
+func (p *Prop) SetBound(req []model.Time, bound model.Time) {
+	p.req, p.bound = req, bound
+}
+
+// cut reports whether a tuple at v with time t lies beyond the armed
+// bound. The caller checks p.req != nil.
+func (p *Prop) cut(v model.PinID, t model.Time, setup bool) bool {
+	if setup {
+		return p.req[v]-t > p.bound
+	}
+	return t+p.req[v] > p.bound
 }
 
 // propPool recycles Prop scratch across queries: a propagation array pair
@@ -270,6 +339,7 @@ func PutProp(p *Prop) {
 	}
 	p.topo, p.topoIndex = nil, nil
 	p.sparse = false
+	p.req = nil
 	p.fr.reset()
 	propPool.Put(p)
 }
@@ -285,6 +355,7 @@ func (p *Prop) Reset(n int) {
 	p.fr.reset()
 	p.topo, p.topoIndex = nil, nil
 	p.sparse = false
+	p.req = nil
 	if cap(p.a) < n {
 		p.a = make([]Tuple, n)
 		p.b = make([]Tuple, n)
@@ -304,6 +375,7 @@ func (p *Prop) ResetFor(d *model.Design) {
 	p.fr.reset()
 	p.topo, p.topoIndex = d.Topo, d.TopoIndex
 	p.sparse = true
+	p.req = nil
 	if cap(p.slots) < n {
 		p.slots = make([]propSlot, n)
 	}
@@ -341,9 +413,13 @@ func better(setup bool, a, b model.Time) bool {
 // invariants: at(v) is the best tuple seen; at'(v) is the best tuple
 // whose group differs from at(v)'s group; at' is never better than at.
 // The first Offer to a pin in an epoch revives its slot and, under the
-// sparse kernel, enqueues the pin on the frontier.
+// sparse kernel, enqueues the pin on the frontier. Under the sparse
+// kernel a tuple beyond the armed bound (SetBound) is dropped.
 func (p *Prop) Offer(v model.PinID, t model.Time, from, origin model.PinID, group int32, setup bool) {
 	if p.sparse {
+		if p.req != nil && p.cut(v, t, setup) {
+			return
+		}
 		s := &p.slots[v]
 		if s.stamp != p.epoch {
 			s.stamp = p.epoch
