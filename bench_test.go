@@ -231,7 +231,7 @@ func BenchmarkSubstratePropagation(b *testing.B) {
 }
 
 // BenchmarkSubstrateTreeBuild isolates the per-design preprocessing
-// (clock-tree compaction, lifting tables, Euler RMQ).
+// (clock-tree compaction, Euler RMQ).
 func BenchmarkSubstrateTreeBuild(b *testing.B) {
 	d := benchDesign(b, "leon2")
 	b.ResetTimer()

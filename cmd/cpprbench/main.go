@@ -34,14 +34,11 @@ func main() {
 		fig5      = flag.Bool("fig5", false, "print Figure 5 (runtime/memory vs k)")
 		fig6      = flag.Bool("fig6", false, "print Figure 6 (runtime/memory vs threads)")
 		accuracy  = flag.Bool("accuracy", false, "run the accuracy audit")
-		rerank    = flag.Bool("rerank", false, "run the inexact-rerank ablation")
 		batch     = flag.Bool("batch", false, "measure the batch query executor vs serial queries")
 		batchOut  = flag.String("batchjson", "BENCH_batch.json", "with -batch, write machine-readable stats to this file (empty = none)")
 		mcmm      = flag.Bool("mcmm", false, "measure multi-corner fan-out vs serial per-corner analysis")
 		corners   = flag.Int("corners", 4, "with -mcmm, the corner count of the fan-out")
 		mcmmOut   = flag.String("mcmmjson", "BENCH_mcmm.json", "with -mcmm, write machine-readable stats to this file (empty = none)")
-		sparse    = flag.Bool("sparse", false, "measure the sparse propagation kernel vs the dense reference kernel")
-		sparseOut = flag.String("sparsejson", "BENCH_sparse.json", "with -sparse, write machine-readable stats to this file (empty = none)")
 		incr      = flag.Bool("incremental", false, "measure warm edit→requery through the incremental caches vs cold runs")
 		incrOut   = flag.String("incrementaljson", "BENCH_incremental.json", "with -incremental, write machine-readable stats to this file (empty = none)")
 		srvBench  = flag.Bool("serve", false, "measure the HTTP service front end: latency/QPS at several client counts, coalescing on vs off")
@@ -67,10 +64,10 @@ func main() {
 	)
 	flag.Parse()
 	if *all {
-		*table3, *table4, *fig5, *fig6, *accuracy, *rerank, *batch, *mcmm, *sparse, *incr, *srvBench, *parallel, *signoff, *whatif, *hierBench = true, true, true, true, true, true, true, true, true, true, true, true, true, true, true
+		*table3, *table4, *fig5, *fig6, *accuracy, *batch, *mcmm, *incr, *srvBench, *parallel, *signoff, *whatif, *hierBench = true, true, true, true, true, true, true, true, true, true, true, true, true
 	}
-	if !*table3 && !*table4 && !*fig5 && !*fig6 && !*accuracy && !*rerank && !*batch && !*mcmm && !*sparse && !*incr && !*srvBench && !*parallel && !*signoff && !*whatif && !*hierBench {
-		fmt.Fprintln(os.Stderr, "cpprbench: select at least one of -table3 -table4 -fig5 -fig6 -accuracy -batch -mcmm -sparse -incremental -serve -parallel -signoff -whatif -hier -all")
+	if !*table3 && !*table4 && !*fig5 && !*fig6 && !*accuracy && !*batch && !*mcmm && !*incr && !*srvBench && !*parallel && !*signoff && !*whatif && !*hierBench {
+		fmt.Fprintln(os.Stderr, "cpprbench: select at least one of -table3 -table4 -fig5 -fig6 -accuracy -batch -mcmm -incremental -serve -parallel -signoff -whatif -hier -all")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -139,7 +136,6 @@ func main() {
 		}
 	}
 	run("Accuracy audit", *accuracy, experiments.Accuracy)
-	run("Rerank ablation", *rerank, experiments.RerankAblation)
 	run("Table III", *table3, experiments.Table3)
 	run("Table IV", *table4, experiments.Table4)
 	run("Figure 5", *fig5, experiments.Fig5)
@@ -166,7 +162,6 @@ func main() {
 	}
 	runJSON("Batch executor", *batch, *batchOut, experiments.Batch)
 	runJSON("MCMM fan-out", *mcmm, *mcmmOut, experiments.MCMM)
-	runJSON("Sparse kernel", *sparse, *sparseOut, experiments.Sparse)
 	runJSON("Incremental edit→requery", *incr, *incrOut, experiments.Incremental)
 	runJSON("Service front end", *srvBench, *srvOut, experiments.Serve)
 	runJSON("Thread scaling", *parallel, *parOut, experiments.Parallel)

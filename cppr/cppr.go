@@ -61,11 +61,6 @@ const (
 	// AlgoBruteForce enumerates every path; exponential, for tiny
 	// designs and validation only.
 	AlgoBruteForce
-	// AlgoRerankInexact is the pre-CPPR-then-rerank heuristic: top-k by
-	// pre-CPPR slack, credits applied afterwards. It is NOT exact — it
-	// can miss true post-CPPR critical paths — and exists to quantify
-	// why exact CPPR search matters. Never use it for signoff.
-	AlgoRerankInexact
 )
 
 // String returns the short name used by CLI flags and reports.
@@ -81,8 +76,6 @@ func (a Algorithm) String() string {
 		return "bnb"
 	case AlgoBruteForce:
 		return "brute"
-	case AlgoRerankInexact:
-		return "rerank"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -101,10 +94,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return AlgoBranchAndBound, nil
 	case "brute":
 		return AlgoBruteForce, nil
-	case "rerank":
-		return AlgoRerankInexact, nil
 	default:
-		return 0, fmt.Errorf("cppr: unknown algorithm %q (want lca|pairwise|blockwise|bnb|brute|rerank)", s)
+		return 0, fmt.Errorf("cppr: unknown algorithm %q (want lca|pairwise|blockwise|bnb|brute)", s)
 	}
 }
 
@@ -152,7 +143,7 @@ func (r *Report) WorstSlack() (model.Time, bool) {
 
 // cornerEngines bundles every delay-derived structure of one corner:
 // the corner's design view, its clock tree (arrivals/credits on the
-// shared topology), the LCA engine, the four baselines, and the
+// shared topology), the LCA engine, the three baselines, and the
 // graph-based arrival windows. One snapshot holds one of these per
 // corner it has analysed.
 type cornerEngines struct {
@@ -163,7 +154,6 @@ type cornerEngines struct {
 	pw     *baseline.Pairwise
 	bw     *baseline.Blockwise
 	bb     *baseline.BranchAndBound
-	rr     *baseline.Rerank
 	// cache memoizes this corner's candidate-generation job results
 	// across the snapshot chain, validated against the edit journal.
 	// Carried over edits that provably cannot dirty it (other-corner
@@ -259,7 +249,6 @@ func newSnapshot(d *model.Design, filter *sdc.Filter, maxTuples, maxPops int, pr
 		pw:     baseline.NewPairwise(d, tree),
 		bw:     baseline.NewBlockwise(d, tree),
 		bb:     baseline.NewBranchAndBound(d, tree),
-		rr:     baseline.NewRerank(d, tree),
 		cache:  core.NewJobCache(&ctr.job),
 		pre:    pre,
 	}
@@ -305,7 +294,6 @@ func (s *snapshot) rebind(nd *model.Design, pre *sta.Incr, from, to model.PinID)
 			pw:     s.base.pw.Rebind(nd),
 			bw:     s.base.bw.Rebind(nd),
 			bb:     s.base.bb.Rebind(nd),
-			rr:     s.base.rr.Rebind(nd),
 			cache:  s.base.cache,
 			pre:    pre,
 		},
@@ -358,7 +346,6 @@ func (s *snapshot) corner(c model.Corner) *cornerEngines {
 		pw:     baseline.NewPairwise(view, tree),
 		bw:     baseline.NewBlockwise(view, tree),
 		bb:     baseline.NewBranchAndBound(view, tree),
-		rr:     baseline.NewRerank(view, tree),
 		cache:  core.NewJobCache(&s.ctr.job),
 		pre:    sta.NewIncr(view),
 	}
@@ -406,7 +393,6 @@ func (s *snapshot) coreOpts(q Query) core.Options {
 		FilterCapture: q.FilterCapture,
 		CaptureFF:     q.CaptureFF,
 		CRPR:          q.CRPR.mode(),
-		DenseKernel:   q.DenseKernel,
 	}
 	if !s.filter.Empty() {
 		copts.ExcludeLaunchFF = s.filter.FromFF
@@ -479,14 +465,8 @@ func (s *snapshot) runOn(ctx context.Context, q Query, ce *cornerEngines, tc *sc
 			return Report{}, err
 		}
 		rep.Paths, rep.Degraded = paths, degraded
-	case AlgoBruteForce:
+	default: // AlgoBruteForce; Normalize rejected everything else
 		paths, err := baseline.BruteForceCRPR(ctx, ce.d, q.Mode, q.CRPR.mode(), q.K)
-		if err != nil {
-			return Report{}, err
-		}
-		rep.Paths = paths
-	default: // AlgoRerankInexact; Normalize rejected everything else
-		paths, err := ce.rr.TopPathsCRPR(ctx, q.Mode, q.CRPR.mode(), q.K)
 		if err != nil {
 			return Report{}, err
 		}
@@ -577,7 +557,7 @@ func NewTimer(d *model.Design) *Timer {
 // candidate-job cache. Capture filtering and false-path exclusions
 // change job outputs but are not part of the cache key, and queries
 // beyond MemoMaxK would make entries arbitrarily large, so those run
-// uncached; Query.NoCache opts out explicitly (verification/ablation).
+// uncached; Query.NoCache opts out explicitly.
 func (s *snapshot) jobMemoEligible(q Query) bool {
 	return !q.NoCache && !q.FilterCapture && s.filter.Empty() && q.K <= core.MemoMaxK
 }

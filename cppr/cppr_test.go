@@ -55,18 +55,11 @@ func TestReportMetadata(t *testing.T) {
 	if rep.Algorithm != AlgoLCA {
 		t.Errorf("Algorithm = %v", rep.Algorithm)
 	}
-	// The sparse plan prunes LCA-inactive levels, so Jobs is at most
-	// depth+2 (every level plus self-loop and PI) and at least the
-	// ungrouped jobs alone; the dense reference runs the full plan.
+	// The plan prunes LCA-inactive levels, so Jobs is at most depth+2
+	// (every level plus self-loop and PI) and at least the ungrouped
+	// jobs alone.
 	if rep.Stats.Jobs < 2 || rep.Stats.Jobs > d.Depth+2 {
 		t.Errorf("Stats.Jobs = %d, want in [2, %d]", rep.Stats.Jobs, d.Depth+2)
-	}
-	dense, err := NewTimer(d).Run(context.Background(), Query{K: 5, Mode: model.Setup, DenseKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Stats.Jobs != d.Depth+2 {
-		t.Errorf("dense Stats.Jobs = %d, want %d", dense.Stats.Jobs, d.Depth+2)
 	}
 	if w, ok := rep.WorstSlack(); !ok || w != rep.Paths[0].Slack {
 		t.Errorf("WorstSlack = %v/%v", w, ok)
@@ -89,7 +82,7 @@ func TestParseAlgorithm(t *testing.T) {
 		"pairwise": AlgoPairwise, "opentimer": AlgoPairwise,
 		"blockwise": AlgoBlockwise, "happytimer": AlgoBlockwise,
 		"bnb": AlgoBranchAndBound, "itimerc": AlgoBranchAndBound,
-		"brute": AlgoBruteForce, "rerank": AlgoRerankInexact,
+		"brute": AlgoBruteForce,
 	}
 	for s, want := range cases {
 		got, err := ParseAlgorithm(s)
@@ -97,10 +90,12 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Errorf("ParseAlgorithm(%q) = %v/%v, want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, name := range []string{"nope", "rerank"} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Errorf("unknown algorithm %q accepted", name)
+		}
 	}
-	for _, a := range append(Algorithms, AlgoBruteForce, AlgoRerankInexact) {
+	for _, a := range append(Algorithms, AlgoBruteForce) {
 		back, err := ParseAlgorithm(a.String())
 		if err != nil || back != a {
 			t.Errorf("round trip of %v failed", a)

@@ -29,7 +29,7 @@ func batchBytes(t *testing.T, d *model.Design, timer *cppr.Timer, queries []cppr
 }
 
 // TestParallelismWorkersDeterminism is the executor battery: the same
-// mixed batch — sparse-kernel single-corner queries, multi-corner
+// mixed batch — single-corner queries, multi-corner
 // fan-outs, both modes — must serialise byte-identically under worker
 // budgets 1, 2 and 8. The 1-worker run is the reference; every other
 // budget only changes which deque a unit runs on.
@@ -40,7 +40,6 @@ func TestParallelismWorkersDeterminism(t *testing.T) {
 		{K: 10, Mode: model.Hold, Corners: cppr.CornerAll},
 		{K: 25, Mode: model.Setup, Corners: cppr.CornerBit(1) | cppr.CornerBit(2)},
 		{K: 5, Mode: model.Hold},
-		{K: 50, Mode: model.Setup, DenseKernel: true},
 	}
 	ref := func() [][]byte {
 		timer := cppr.NewTimer(d)

@@ -75,16 +75,10 @@ type Query struct {
 	// corners compete by post-CPPR slack and Report.PathCorners names
 	// the corner each reported path was computed at.
 	Corners CornerMask
-	// DenseKernel forces AlgoLCA's candidate-generation jobs onto the
-	// dense full-scan propagation kernel instead of the sparse
-	// frontier-driven one (verification/ablation knob). Both kernels
-	// produce byte-identical reports; only the work performed differs.
-	DenseKernel bool
 	// NoCache bypasses the timer's incremental caches — the per-corner
 	// candidate-job cache and the per-snapshot query memo — forcing a
-	// cold run (verification/ablation knob, like DenseKernel). Cached
-	// and uncached runs produce byte-identical reports; only the work
-	// performed differs.
+	// cold run. Cached and uncached runs produce byte-identical reports;
+	// only the work performed differs.
 	NoCache bool
 	// CRPR selects the credit semantics (same_pin vs same_transition).
 	// CRPRDefault defers to the snapshot's SDC default; normalization
@@ -115,7 +109,7 @@ func (q *Query) Normalize() error {
 	}
 	switch q.Algorithm {
 	case AlgoLCA, AlgoPairwise, AlgoBlockwise, AlgoBranchAndBound,
-		AlgoBruteForce, AlgoRerankInexact:
+		AlgoBruteForce:
 	default:
 		return qerr.Invalid("unknown algorithm %v", q.Algorithm)
 	}

@@ -13,7 +13,7 @@ import (
 // the canonical name round-trips exactly.
 func TestParseAlgorithmRoundTrip(t *testing.T) {
 	names := []string{"lca", "ours", "", "pairwise", "opentimer",
-		"blockwise", "happytimer", "bnb", "itimerc", "brute", "rerank"}
+		"blockwise", "happytimer", "bnb", "itimerc", "brute"}
 	for _, name := range names {
 		a, err := ParseAlgorithm(name)
 		if err != nil {
@@ -29,7 +29,7 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 	}
 	// Every defined algorithm's canonical name must parse.
 	for _, a := range []Algorithm{AlgoLCA, AlgoPairwise, AlgoBlockwise,
-		AlgoBranchAndBound, AlgoBruteForce, AlgoRerankInexact} {
+		AlgoBranchAndBound, AlgoBruteForce} {
 		got, err := ParseAlgorithm(a.String())
 		if err != nil || got != a {
 			t.Errorf("ParseAlgorithm(%v.String()) = %v, %v", a, got, err)
@@ -38,17 +38,29 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 }
 
 // TestParseAlgorithmErrorListsAllNames is the regression test for the
-// "want ..." list: it must mention every accepted canonical name,
-// including rerank (once omitted).
+// "want ..." list: it must mention every accepted canonical name.
 func TestParseAlgorithmErrorListsAllNames(t *testing.T) {
 	_, err := ParseAlgorithm("nope")
 	if err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	for _, name := range []string{"lca", "pairwise", "blockwise", "bnb", "brute", "rerank"} {
+	for _, name := range []string{"lca", "pairwise", "blockwise", "bnb", "brute"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list %q", err, name)
 		}
+	}
+}
+
+// TestRetiredRerankRejected pins that the retired inexact rerank
+// heuristic is gone from every entry point: its name fails to parse and
+// its old enum value fails validation like any unknown algorithm.
+func TestRetiredRerankRejected(t *testing.T) {
+	if a, err := ParseAlgorithm("rerank"); err == nil {
+		t.Fatalf("ParseAlgorithm(\"rerank\") = %v, want an error", a)
+	}
+	q := Query{K: 1, Algorithm: Algorithm(5)}
+	if err := q.Normalize(); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("Normalize(Algorithm(5)) = %v, want ErrInvalidQuery", err)
 	}
 }
 

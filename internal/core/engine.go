@@ -73,12 +73,6 @@ type Options struct {
 	// way, only the amount of skipped work changes). Memoized runs set
 	// it, so the job cache stores full candidate streams.
 	DisableGlobalBound bool
-	// DenseKernel switches candidate propagation from the sparse
-	// frontier kernel (epoch reset + worklist over the seeded cone) back
-	// to the dense full-topological-order kernel. Verification/ablation
-	// knob: the two kernels produce byte-identical reports, only the
-	// amount of work differs. The differential battery runs both.
-	DenseKernel bool
 	// ExcludeLaunchFF / ExcludeCaptureFF / ExcludeLaunchPin implement
 	// false-path exceptions at source/endpoint granularity (sdc.Filter):
 	// excluded launches are never seeded and excluded captures never
@@ -282,18 +276,13 @@ func (s *scratch) canceled() bool {
 // without measurable steady-state cost.
 const cancelStride = 2048
 
-// resetProp prepares the worker's propagation arrays for one job under
-// the selected kernel: an O(1) epoch bump either way, with the sparse
-// kernel additionally binding the design's topological order so seeding
-// Offers feed the frontier. A cold sparse run (gb non-nil, global bound
+// resetProp prepares the worker's propagation arrays for one job: an
+// O(1) epoch bump that binds the design's topological order so seeding
+// Offers feed the sparse frontier. A cold run (gb non-nil, global bound
 // enabled) also arms spec's required-time bound at the query's current
 // limit, so the kernel drops every tuple that cannot lead to a path
-// within it; the dense reference kernel never prunes.
+// within it.
 func (e *Engine) resetProp(s *scratch, spec jobSpec, opts *Options, gb *globalBound) {
-	if opts.DenseKernel {
-		s.prop.Reset(e.d.NumPins())
-		return
-	}
 	s.prop.ResetFor(e.d)
 	if gb != nil && !opts.DisableGlobalBound {
 		if b, ok := gb.limit(); ok {
@@ -302,19 +291,16 @@ func (e *Engine) resetProp(s *scratch, spec jobSpec, opts *Options, gb *globalBo
 	}
 }
 
-// runProp propagates the seeded tuples under the selected kernel. With
-// PropThreads above 1 the sparse kernel runs partitioned across barrier
-// blocks; tuples are bit-identical at any thread count, so the knob
-// changes wall-clock only.
+// runProp propagates the seeded tuples with the sparse frontier kernel.
+// With PropThreads above 1 it runs partitioned across barrier blocks;
+// tuples are bit-identical at any thread count, so the knob changes
+// wall-clock only.
 func (e *Engine) runProp(s *scratch, setup bool, opts *Options) {
-	switch {
-	case opts.DenseKernel:
-		s.prop.RunCtx(e.d, setup, s.done)
-	case opts.PropThreads > 1:
+	if opts.PropThreads > 1 {
 		s.prop.RunSparseParallel(e.d, setup, s.done, opts.PropThreads)
-	default:
-		s.prop.RunSparse(e.d, setup, s.done)
+		return
 	}
+	s.prop.RunSparse(e.d, setup, s.done)
 }
 
 // globalBound is a cold query's limit on useful slacks: the smaller of
@@ -362,7 +348,7 @@ func derivePropThreads(opts *Options, numJobs int) {
 		return
 	}
 	opts.PropThreads = 1
-	if opts.Exec != nil || opts.DenseKernel || numJobs == 0 {
+	if opts.Exec != nil || numJobs == 0 {
 		return
 	}
 	threads := opts.Threads
@@ -615,13 +601,11 @@ func (e *Engine) jobPlan(opts Options) []jobSpec {
 	for d := 0; d < e.d.Depth; d++ {
 		// A depth where no FF pair has its exact clock LCA generates zero
 		// candidates: the level job would propagate the full cone and then
-		// filter everything. Skip it. The dense reference kernel keeps the
-		// full plan (the replaced kernel's behaviour), so the differential
-		// battery also proves the skip exact.
-		if !opts.DenseKernel && !e.tree.LevelActive(d) {
-			continue
+		// filter everything. Skip it (TestJobsMatchDenseReference runs the
+		// skipped jobs and checks they keep nothing).
+		if e.tree.LevelActive(d) {
+			jobs = append(jobs, jobSpec{kind: jobLevel, level: d})
 		}
-		jobs = append(jobs, jobSpec{kind: jobLevel, level: d})
 	}
 	jobs = append(jobs, jobSpec{kind: jobSelfLoop}, jobSpec{kind: jobPI})
 	// The zero-credit job covers cross-domain pairs and, under
@@ -740,23 +724,29 @@ func (e *Engine) piSeed(spec jobSpec, i int, opts *Options) (sta.Tuple, bool) {
 }
 
 // seedJob resets the propagation scratch (under gb's limit, if any; see
-// resetProp) and offers spec's seed tuples: FF Q pins in ascending FF
-// order, then primary inputs (ffSeed, piSeed). Returns false on
+// resetProp) and offers spec's seed tuples. Returns false on
 // cancellation.
 func (e *Engine) seedJob(s *scratch, spec jobSpec, opts Options, gb *globalBound) bool {
-	setup := opts.Mode == model.Setup
 	e.resetProp(s, spec, &opts, gb)
-	lt, seeds := e.jobTables(spec, opts)
+	return e.offerSeeds(s, spec, &opts)
+}
+
+// offerSeeds offers spec's seed tuples to s.prop, which the caller has
+// reset: FF Q pins in ascending FF order, then primary inputs (ffSeed,
+// piSeed). Returns false on cancellation.
+func (e *Engine) offerSeeds(s *scratch, spec jobSpec, opts *Options) bool {
+	setup := opts.Mode == model.Setup
+	lt, seeds := e.jobTables(spec, *opts)
 	for si, fi := range seeds {
 		if si%cancelStride == 0 && s.canceled() {
 			return false
 		}
-		if t, ok := e.ffSeed(spec, lt, int(fi), &opts); ok {
+		if t, ok := e.ffSeed(spec, lt, int(fi), opts); ok {
 			s.prop.Offer(e.d.FFs[fi].Output, t.Time, t.From, t.Origin, t.Group, setup)
 		}
 	}
 	for i, pi := range e.d.PIs {
-		if t, ok := e.piSeed(spec, i, &opts); ok {
+		if t, ok := e.piSeed(spec, i, opts); ok {
 			s.prop.Offer(pi, t.Time, t.From, t.Origin, t.Group, setup)
 		}
 	}

@@ -37,7 +37,10 @@ func enumerate(t *testing.T, d *model.Design, mode model.Mode) []model.Path {
 // principles.
 func slackAtLevel(tr *lca.Tree, d *model.Design, p *model.Path, dep int) model.Time {
 	lau := d.FFs[p.LaunchFF].Clock
-	return p.PreSlack + tr.Credit(tr.AncestorAtDepth(lau, dep))
+	for int(d.ClockDepth[lau]) > dep {
+		lau = d.ClockParent[lau]
+	}
+	return p.PreSlack + tr.Credit(lau)
 }
 
 func TestLemmaLevelCoverage(t *testing.T) {

@@ -51,13 +51,11 @@ func (c *CacheCounters) note(o Outcome) {
 // changes (e.g. IncludePOs toggling) re-number the jobs — the merge
 // assigns the current plan index at serve time. K is handled by the
 // entry's budget (the enumeration has the prefix property), and Threads
-// never affects per-job output. The kernel knob is kept in the key so
-// sparse-vs-dense sweeps exercise real runs of both kernels.
+// never affects per-job output.
 type jobKey struct {
 	kind  jobKind
 	level int
 	mode  model.Mode
-	dense bool
 	// crpr is normalized by jobKeyCRPR: only level and cross jobs
 	// depend on the CRPR mode, so self-loop/PI/PO entries are keyed
 	// (and therefore shared) across modes.
@@ -189,7 +187,7 @@ func (e *Engine) TopPathsMemo(ctx context.Context, opts Options, mc MemoCtx) (Re
 // nothing.
 func (e *Engine) memoJob(s *scratch, spec jobSpec, j, k int, opts Options, mc *MemoCtx) ([]*jobOut, int, int) {
 	cache := mc.Cache
-	key := jobKey{kind: spec.kind, level: spec.level, mode: opts.Mode, dense: opts.DenseKernel, crpr: jobKeyCRPR(spec.kind, opts.CRPR)}
+	key := jobKey{kind: spec.kind, level: spec.level, mode: opts.Mode, crpr: jobKeyCRPR(spec.kind, opts.CRPR)}
 	res, outcome := cache.jobs.Lookup(key, k, mc.Journal)
 	cache.ctr.note(outcome)
 	rebuilt := 0

@@ -49,26 +49,24 @@ func TestTopPathsMemoMatchesTopPaths(t *testing.T) {
 		d := gen.MustGenerate(gen.Medium(seed))
 		e := NewEngine(d)
 		for _, mode := range []model.Mode{model.Setup, model.Hold} {
-			for _, dense := range []bool{false, true} {
-				for _, k := range []int{1, 7, 50} {
-					opts := Options{K: k, Mode: mode, DenseKernel: dense}
-					want := mustTopPaths(t, e, opts)
-					cache := NewJobCache(nil)
-					cold := mustMemo(t, e, opts, cache, nil)
-					warm := mustMemo(t, e, opts, cache, nil)
-					equalPaths(t, "cold memo", cold.Paths, want.Paths)
-					equalPaths(t, "warm memo", warm.Paths, want.Paths)
-					if cold.Stats.Jobs != want.Stats.Jobs || warm.Stats.Jobs != want.Stats.Jobs {
-						t.Fatalf("Jobs: memo %d/%d, TopPaths %d",
-							cold.Stats.Jobs, warm.Stats.Jobs, want.Stats.Jobs)
-					}
-					if cold.Stats.Candidates < cold.Stats.Kept {
-						t.Fatalf("cold Candidates %d < Kept %d", cold.Stats.Candidates, cold.Stats.Kept)
-					}
-					if warm.Stats.Reconstructed != 0 {
-						t.Fatalf("warm run reconstructed %d paths, want 0 (all jobs cached)",
-							warm.Stats.Reconstructed)
-					}
+			for _, k := range []int{1, 7, 50} {
+				opts := Options{K: k, Mode: mode}
+				want := mustTopPaths(t, e, opts)
+				cache := NewJobCache(nil)
+				cold := mustMemo(t, e, opts, cache, nil)
+				warm := mustMemo(t, e, opts, cache, nil)
+				equalPaths(t, "cold memo", cold.Paths, want.Paths)
+				equalPaths(t, "warm memo", warm.Paths, want.Paths)
+				if cold.Stats.Jobs != want.Stats.Jobs || warm.Stats.Jobs != want.Stats.Jobs {
+					t.Fatalf("Jobs: memo %d/%d, TopPaths %d",
+						cold.Stats.Jobs, warm.Stats.Jobs, want.Stats.Jobs)
+				}
+				if cold.Stats.Candidates < cold.Stats.Kept {
+					t.Fatalf("cold Candidates %d < Kept %d", cold.Stats.Candidates, cold.Stats.Kept)
+				}
+				if warm.Stats.Reconstructed != 0 {
+					t.Fatalf("warm run reconstructed %d paths, want 0 (all jobs cached)",
+						warm.Stats.Reconstructed)
 				}
 			}
 		}

@@ -126,11 +126,6 @@ func TestSingleDomainHasNoCrossJob(t *testing.T) {
 	if want := activeLevels(e, d.Depth) + 2; res.Stats.Jobs != want {
 		t.Fatalf("single-domain Jobs = %d, want %d", res.Stats.Jobs, want)
 	}
-	// The dense reference kernel keeps the replaced kernel's full plan.
-	res = mustTopPaths(t, e, Options{K: 5, Mode: model.Setup, DenseKernel: true})
-	if res.Stats.Jobs != d.Depth+2 {
-		t.Fatalf("single-domain dense Jobs = %d, want %d", res.Stats.Jobs, d.Depth+2)
-	}
 	spec := multiDomainSpec(1, 2)
 	d2 := gen.MustGenerate(spec)
 	e2 := NewEngine(d2)

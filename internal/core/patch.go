@@ -87,8 +87,7 @@ func (c *JobCache) setRetained(key jobKey, rp *retainedProp, pinCount int) {
 
 // retainProp clones the scratch's just-completed propagation into the
 // cache's retained store, positioned at mc's journal head, so the next
-// edit that dirties this job can be served by patching. Dense-kernel
-// runs are not retained (the patch kernel is sparse-only).
+// edit that dirties this job can be served by patching.
 func (e *Engine) retainProp(s *scratch, cache *JobCache, key jobKey, mc *MemoCtx) {
 	clone := s.prop.CloneSparse()
 	if clone == nil {
@@ -176,9 +175,9 @@ func (e *Engine) runJobOn(s *scratch, prop *sta.Prop, spec jobSpec, j, k int, op
 // is the retained state plus a suffix of same-corner data-arc edits,
 // patches the edits' dirty cone in place (canonical-order replay, so the
 // result is byte-identical to a fresh run), and replays the collect
-// phase. Returns ok=false when no patch applies — no retained state, the
-// dense kernel, divergent journal chains, a clock-adjacent edit, or a
-// vanished arc — and the caller falls back to a full run.
+// phase. Returns ok=false when no patch applies — no retained state,
+// divergent journal chains, a clock-adjacent edit, or a vanished arc —
+// and the caller falls back to a full run.
 //
 // When cache owns the retained state the patch is kept and the journal
 // position advanced; a forked cache borrows the state under the entry
@@ -186,7 +185,7 @@ func (e *Engine) runJobOn(s *scratch, prop *sta.Prop, spec jobSpec, j, k int, op
 // contaminate the parent's retained propagation.
 func (e *Engine) servePatched(s *scratch, cache *JobCache, key jobKey, spec jobSpec, j, k int, opts Options, mc *MemoCtx) (jobResult, bool) {
 	rp := cache.retained(key)
-	if rp == nil || opts.DenseKernel {
+	if rp == nil {
 		return jobResult{}, false
 	}
 	rp.mu.Lock()

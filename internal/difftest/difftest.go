@@ -129,49 +129,14 @@ func CrossCheck(tb testing.TB, timer *cppr.Timer, q cppr.Query, algos ...cppr.Al
 	}
 }
 
-// CheckKernelsByteIdentical runs q under AlgoLCA with the sparse
-// frontier propagation kernel (the default) and again with the dense
-// reference kernel (Query.DenseKernel), and fails tb unless the two
-// marshalled JSON reports are byte-for-byte identical. This is a
-// stronger contract than slack-spectrum equality: the full report —
-// every path's pin sequence, credits, endpoint names, stats — must
-// match, which holds only if the kernels produce bit-identical
-// propagation tuples including tie-breaks. Wall time is zeroed before
-// marshalling; it is the one field allowed to differ.
-func CheckKernelsByteIdentical(tb testing.TB, timer *cppr.Timer, d *model.Design, q cppr.Query) {
-	tb.Helper()
-	q.Algorithm = cppr.AlgoLCA
-	run := func(denseKernel bool) []byte {
-		qq := q
-		qq.DenseKernel = denseKernel
-		rep, err := timer.Run(context.Background(), qq)
-		if err != nil {
-			tb.Fatalf("difftest: kernel dense=%v: %v", denseKernel, err)
-		}
-		rep.Elapsed = 0
-		out, err := json.Marshal(rep.JSON(d, q.Mode, q.K))
-		if err != nil {
-			tb.Fatalf("difftest: marshal: %v", err)
-		}
-		return out
-	}
-	sparse := run(false)
-	dense := run(true)
-	if !bytes.Equal(sparse, dense) {
-		tb.Fatalf("difftest: sparse and dense kernels disagree (corners %#x, mode %v, k=%d)\nsparse: %s\ndense:  %s",
-			uint64(q.Corners), q.Mode, q.K, sparse, dense)
-	}
-}
-
 // CheckWarmColdByteIdentical runs q under AlgoLCA twice against the
 // same timer — once through the incremental caches (warm: journal
 // revalidation plus whatever job-cache and query-memo entries the
 // timer has accumulated) and once with Query.NoCache forcing a cold
 // uncached run — and fails tb unless the two marshalled JSON reports
-// are byte-for-byte identical. Like CheckKernelsByteIdentical this is
-// stronger than slack equality: pins, credits, endpoint names and
-// stats must all match, which holds only if cache revalidation is
-// exact. Wall time is zeroed before marshalling; it is the one field
+// are byte-for-byte identical. This is stronger than slack equality:
+// pins, credits, endpoint names and stats must all match, which holds
+// only if cache revalidation is exact. Wall time is zeroed before marshalling; it is the one field
 // allowed to differ.
 func CheckWarmColdByteIdentical(tb testing.TB, timer *cppr.Timer, d *model.Design, q cppr.Query) {
 	tb.Helper()

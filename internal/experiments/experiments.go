@@ -436,39 +436,6 @@ func slackKey(paths []model.Path) string {
 	return fmt.Sprint(s)
 }
 
-// RerankAblation quantifies the error of the inexact pre-CPPR-then-
-// rerank heuristic against the exact engine — the repository's answer to
-// "why not just re-rank the pre-CPPR report?".
-func RerankAblation(cfg Config) error {
-	cfg = cfg.withDefaults()
-	dc := newDesignCache(cfg.Scale)
-	t := report.NewTable("Rerank-heuristic ablation: true top-k paths missed by pre-CPPR-then-rerank",
-		"design", "mode", "k", "missed", "worst-slack error")
-	for _, name := range cfg.Designs {
-		d, err := dc.get(name)
-		if err != nil {
-			return err
-		}
-		timer := cppr.NewTimer(d)
-		for _, mode := range model.Modes {
-			for _, k := range []int{10, 100, 1000} {
-				exact, err := timer.Run(cfg.Ctx, cppr.Query{K: k, Mode: mode, Threads: cfg.Threads})
-				if err != nil {
-					return err
-				}
-				heur, err := timer.Run(cfg.Ctx, cppr.Query{K: k, Mode: mode, Algorithm: cppr.AlgoRerankInexact})
-				if err != nil {
-					return err
-				}
-				missed, worstErr := baseline.RerankError(exact.Paths, heur.Paths)
-				t.Add(name, mode.String(), fmt.Sprint(k), fmt.Sprint(missed), worstErr.String())
-			}
-		}
-	}
-	_, err := fmt.Fprintln(cfg.Out, t)
-	return err
-}
-
 // ErrBudget re-exports the baseline budget error for callers that want
 // to render MLE cells themselves.
 var ErrBudget = baseline.ErrBudget

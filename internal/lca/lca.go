@@ -1,16 +1,15 @@
 // Package lca provides the clock-tree query structures used by the CPPR
-// timers: per-node arrival windows and credits, ancestor-at-depth queries
-// f_d(u), and lowest-common-ancestor queries via two interchangeable
-// implementations (binary lifting and Euler-tour RMQ).
+// timers: per-node arrival windows and credits, the per-level tables
+// that give each clock pin its ancestors f_d(u) and f_{d+1}(u) in one
+// pass, and O(1) lowest-common-ancestor queries via an Euler-tour RMQ.
 //
 // A Tree is split into two layers. The shape — compaction, parent/depth
-// arrays, domain ids, binary-lifting jump tables, the Euler tour with
-// its RMQ sparse table, and the per-level grouping f_{d+1} — depends
-// only on the clock-tree topology and is built once; every delay corner
-// of a design shares it (Derive). The overlay — arrival windows, CPPR
-// credits, and the per-level credit(f_d) tables — depends on the
-// corner's clock-arc delays and is recomputed per corner in O(#clock
-// pins).
+// arrays, domain ids, the Euler tour with its RMQ sparse table, and the
+// per-level grouping f_{d+1} — depends only on the clock-tree topology
+// and is built once; every delay corner of a design shares it (Derive).
+// The overlay — arrival windows, CPPR credits, and the per-level
+// credit(f_d) tables — depends on the corner's clock-arc delays and is
+// recomputed per corner in O(#clock pins).
 //
 // All structures are immutable once built (lazily built tables are
 // sync.Once-guarded), so they are safe for concurrent use by the
@@ -53,9 +52,6 @@ type shape struct {
 	parityMixed  bool
 	crossParOnce sync.Once
 	crossParLT   LevelTables
-
-	// up[j][i] is the 2^j-th ancestor of i (compact), or -1.
-	up [][]int32
 
 	// Euler tour for O(1) LCA: tour of compact nodes, first visit
 	// positions, and a sparse table of minimum-depth positions.
@@ -124,7 +120,7 @@ type Tree struct {
 	arrival []model.Window
 	credit  []model.Time
 
-	// Shared per-level tables: the FillLevel/FillCrossDomain results
+	// Shared per-level tables: the FillLevel and cross-domain results
 	// depend only on the tree, so they are computed once on first use
 	// (per level) and then served read-only to every query against this
 	// Tree — concurrent and batched queries share them instead of
@@ -167,7 +163,6 @@ func New(d *model.Design) *Tree {
 			s.treeID[i] = s.treeID[p]
 		}
 	}
-	s.buildLifting()
 	s.buildEuler()
 	for _, dep := range s.depth {
 		if dep > s.maxDepth {
@@ -233,8 +228,8 @@ func New(d *model.Design) *Tree {
 
 // Derive returns a Tree for nd — the same clock-tree topology as t's
 // design at a different delay corner — sharing t's shape (compaction,
-// parent/depth, jump tables, Euler RMQ, per-level grouping) and
-// recomputing only the arrival/credit overlay from nd's arc delays.
+// parent/depth, Euler RMQ, per-level grouping) and recomputing only the
+// arrival/credit overlay from nd's arc delays.
 // nd must be a corner view of t's design (model.Design.View): identical
 // pins, arcs and clock-tree topology, delays free to differ.
 func (t *Tree) Derive(nd *model.Design) *Tree {
@@ -261,34 +256,6 @@ func (t *Tree) fillOverlay() {
 	}
 	t.levelOnce = make([]sync.Once, t.maxDepth+1)
 	t.levelLT = make([]LevelTables, t.maxDepth+1)
-}
-
-// buildLifting fills the binary-lifting ancestor tables.
-func (s *shape) buildLifting() {
-	nc := len(s.pins)
-	maxDepth := int32(0)
-	for _, dep := range s.depth {
-		if dep > maxDepth {
-			maxDepth = dep
-		}
-	}
-	levels := 1
-	if maxDepth > 0 {
-		levels = bits.Len(uint(maxDepth)) // 2^(levels-1) <= maxDepth
-	}
-	s.up = make([][]int32, levels)
-	s.up[0] = s.parent
-	for j := 1; j < levels; j++ {
-		s.up[j] = make([]int32, nc)
-		prev := s.up[j-1]
-		for i := 0; i < nc; i++ {
-			if prev[i] < 0 {
-				s.up[j][i] = -1
-			} else {
-				s.up[j][i] = prev[prev[i]]
-			}
-		}
-	}
 }
 
 // buildEuler constructs the Euler tour and its sparse min-table.
@@ -393,23 +360,6 @@ func (t *Tree) Credit(u model.PinID) model.Time { return t.credit[t.compact(u)] 
 // property Derive establishes across the corners of a design.
 func (t *Tree) SharesShape(o *Tree) bool { return t.shape == o.shape }
 
-// AncestorAtDepth returns f_dep(u): the ancestor of u at depth dep.
-// It returns model.NoPin when dep exceeds u's depth.
-func (t *Tree) AncestorAtDepth(u model.PinID, dep int) model.PinID {
-	i := t.compact(u)
-	delta := int(t.depth[i]) - dep
-	if delta < 0 {
-		return model.NoPin
-	}
-	for j := 0; delta != 0; j++ {
-		if delta&1 != 0 {
-			i = t.up[j][i]
-		}
-		delta >>= 1
-	}
-	return t.pins[i]
-}
-
 // LCA returns the lowest common ancestor of clock pins u and v using the
 // Euler-tour RMQ structure (O(1) per query), or model.NoPin when u and v
 // belong to different clock domains.
@@ -432,36 +382,6 @@ func (t *Tree) lcaCompact(a, b int32) int32 {
 		return x
 	}
 	return y
-}
-
-// LCALifting returns the same result as LCA using binary lifting
-// (O(log depth) per query). Kept as an ablation alternative; the two are
-// cross-checked in tests.
-func (t *Tree) LCALifting(u, v model.PinID) model.PinID {
-	a, b := t.compact(u), t.compact(v)
-	if t.treeID[a] != t.treeID[b] {
-		return model.NoPin
-	}
-	if t.depth[a] < t.depth[b] {
-		a, b = b, a
-	}
-	delta := t.depth[a] - t.depth[b]
-	for j := 0; delta != 0; j++ {
-		if delta&1 != 0 {
-			a = t.up[j][a]
-		}
-		delta >>= 1
-	}
-	if a == b {
-		return t.pins[a]
-	}
-	for j := len(t.up) - 1; j >= 0; j-- {
-		if t.up[j][a] != t.up[j][b] {
-			a = t.up[j][a]
-			b = t.up[j][b]
-		}
-	}
-	return t.pins[t.parent[a]]
 }
 
 // LCADepth returns depth(LCA(u, v)), or -1 for cross-domain pairs.
@@ -536,24 +456,6 @@ type LevelTables struct {
 	// (stale) for shallower pins — guarded by Group/depth checks at the
 	// call sites. It is the delay-dependent (per-corner) half.
 	CreditAtD []model.Time
-}
-
-// FillCrossDomain fills tables for the cross-domain candidate job: the
-// group of every clock pin is its domain root and the credit offset is
-// zero (cross-domain pairs share no clock path). This is the "level -1"
-// of the level enumeration, only meaningful for multi-domain designs.
-func (t *Tree) FillCrossDomain(lt *LevelTables) {
-	nc := len(t.pins)
-	if cap(lt.Group) < nc {
-		lt.Group = make([]int32, nc)
-		lt.CreditAtD = make([]model.Time, nc)
-	}
-	lt.Group = lt.Group[:nc]
-	lt.CreditAtD = lt.CreditAtD[:nc]
-	copy(lt.Group, t.treeID)
-	for i := range lt.CreditAtD {
-		lt.CreditAtD[i] = 0
-	}
 }
 
 // FillLevel computes, in one O(#clock pins) pass, the group index
@@ -671,8 +573,7 @@ func (t *Tree) SharedCrossParity() *LevelTables {
 // cuts have (usually far) fewer FFs below them, so seeding and scanning
 // this list makes per-level work proportional to the active cone rather
 // than the design. Ascending FF order keeps tie-breaking identical to a
-// full-FF scan that skips out-of-level FFs, which is what makes the
-// sparse and dense kernels byte-identical.
+// full-FF scan that skips out-of-level FFs.
 //
 // Lists are built lazily, once per shape, and shared read-only by every
 // corner Tree and every concurrent query. dep must be in [0, max

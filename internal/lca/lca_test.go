@@ -59,10 +59,6 @@ func TestLCAMatchesNaive(t *testing.T) {
 				t.Fatalf("seed %d: LCA(%s,%s) = %s, want %s", seed,
 					d.PinName(u), d.PinName(v), d.PinName(got), d.PinName(want))
 			}
-			if got := tr.LCALifting(u, v); got != want {
-				t.Fatalf("seed %d: LCALifting(%s,%s) = %s, want %s", seed,
-					d.PinName(u), d.PinName(v), d.PinName(got), d.PinName(want))
-			}
 			if got := tr.LCADepth(u, v); got != int(d.ClockDepth[want]) {
 				t.Fatalf("LCADepth = %d, want %d", got, d.ClockDepth[want])
 			}
@@ -89,28 +85,13 @@ func TestLCAIdentityAndSymmetry(t *testing.T) {
 	}
 }
 
-func TestAncestorAtDepth(t *testing.T) {
-	d := randomTreeDesign(t, 3, 25, 30)
-	tr := New(d)
-	for _, u := range ffClockPins(d) {
-		du := int(d.ClockDepth[u])
-		// Naive ancestor chain.
-		chain := []model.PinID{u}
-		for p := u; p != d.Root; {
-			p = d.ClockParent[p]
-			chain = append(chain, p)
-		}
-		// chain[i] has depth du-i.
-		for dep := 0; dep <= du; dep++ {
-			want := chain[du-dep]
-			if got := tr.AncestorAtDepth(u, dep); got != want {
-				t.Fatalf("f_%d(%s) = %s, want %s", dep, d.PinName(u), d.PinName(got), d.PinName(want))
-			}
-		}
-		if got := tr.AncestorAtDepth(u, du+1); got != model.NoPin {
-			t.Fatalf("f_%d(%s) = %s, want NoPin", du+1, d.PinName(u), d.PinName(got))
-		}
+// ancestorAt returns f_dep(u), the ancestor of clock pin u at depth dep,
+// by walking the design's clock parents.
+func ancestorAt(d *model.Design, u model.PinID, dep int) model.PinID {
+	for int(d.ClockDepth[u]) > dep {
+		u = d.ClockParent[u]
 	}
+	return u
 }
 
 func TestArrivalAndCreditMatchModel(t *testing.T) {
@@ -138,7 +119,7 @@ func TestCreditMonotoneInDepth(t *testing.T) {
 	for _, u := range ffClockPins(d) {
 		prev := model.Time(0)
 		for dep := 0; dep <= tr.Depth(u); dep++ {
-			c := tr.Credit(tr.AncestorAtDepth(u, dep))
+			c := tr.Credit(ancestorAt(d, u, dep))
 			if c < prev {
 				t.Fatalf("credit(f_%d(%s)) = %v < credit at depth %d (%v)",
 					dep, d.PinName(u), c, dep-1, prev)
@@ -163,11 +144,11 @@ func TestFillLevel(t *testing.T) {
 				}
 				continue
 			}
-			wantGroup := tr.compact(tr.AncestorAtDepth(u, dep+1))
+			wantGroup := tr.compact(ancestorAt(d, u, dep+1))
 			if g != wantGroup {
 				t.Fatalf("level %d: group(%s) = %d, want %d", dep, d.PinName(u), g, wantGroup)
 			}
-			wantCredit := tr.Credit(tr.AncestorAtDepth(u, dep))
+			wantCredit := tr.Credit(ancestorAt(d, u, dep))
 			if got := tr.CreditAtDOf(&lt, u); got != wantCredit {
 				t.Fatalf("level %d: creditAtD(%s) = %v, want %v", dep, d.PinName(u), got, wantCredit)
 			}
@@ -235,7 +216,8 @@ func TestSingleNodeTree(t *testing.T) {
 }
 
 func TestDeepChainTree(t *testing.T) {
-	// Degenerate chain: depth == number of bufs; exercises lifting height.
+	// Degenerate chain: depth == number of bufs; exercises the Euler
+	// tour's recursion depth and the RMQ table height.
 	b := model.NewBuilder("chain", model.Ns(1))
 	prev := b.AddClockRoot("clk")
 	const depth = 300
@@ -251,16 +233,19 @@ func TestDeepChainTree(t *testing.T) {
 	if got := tr.Depth(ff.Clock); got != depth+1 {
 		t.Fatalf("Depth = %d, want %d", got, depth+1)
 	}
-	if got := tr.AncestorAtDepth(ff.Clock, 0); got != d.Root {
-		t.Fatalf("f_0 = %s", d.PinName(got))
+	if got := tr.LCA(ff.Clock, d.Root); got != d.Root {
+		t.Fatalf("LCA(ff, root) = %s", d.PinName(got))
 	}
 	if got := tr.Credit(ff.Clock); got != model.Time(depth+1) {
 		t.Fatalf("Credit = %v, want %d", got, depth+1)
 	}
 	for dep := 0; dep <= depth+1; dep += 37 {
-		a := tr.AncestorAtDepth(ff.Clock, dep)
-		if tr.Depth(a) != dep {
-			t.Fatalf("ancestor at depth %d has depth %d", dep, tr.Depth(a))
+		a := ancestorAt(d, ff.Clock, dep)
+		if got := tr.LCA(ff.Clock, a); got != a {
+			t.Fatalf("LCA(ff, ancestor at depth %d) = %s, want %s", dep, d.PinName(got), d.PinName(a))
+		}
+		if tr.LCADepth(ff.Clock, a) != dep {
+			t.Fatalf("LCADepth(ff, ancestor at depth %d) = %d", dep, tr.LCADepth(ff.Clock, a))
 		}
 	}
 }
@@ -278,21 +263,5 @@ func BenchmarkLCAEuler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		tr.LCA(p[0], p[1])
-	}
-}
-
-func BenchmarkLCALifting(b *testing.B) {
-	d := randomTreeDesign(b, 1, 2000, 4000)
-	tr := New(d)
-	cks := ffClockPins(d)
-	rng := rand.New(rand.NewSource(2))
-	pairs := make([][2]model.PinID, 1024)
-	for i := range pairs {
-		pairs[i] = [2]model.PinID{cks[rng.Intn(len(cks))], cks[rng.Intn(len(cks))]}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		tr.LCALifting(p[0], p[1])
 	}
 }

@@ -27,13 +27,11 @@ func jitterCorner(t *testing.T, d *model.Design, seed int64) *model.Design {
 	return nd
 }
 
-// TestLiftingVsEulerProperty compares the two LCA implementations
-// against each other over every pair class — FF clocks, internal
-// buffers, mixed — on random trees much deeper than the targeted
-// unit-test fixtures. The engine uses the Euler-tour RMQ answer; binary
-// lifting is an independent implementation kept as its cross-check, and
-// they must never diverge.
-func TestLiftingVsEulerProperty(t *testing.T) {
+// TestEulerVsNaiveProperty compares the Euler-tour RMQ LCA against the
+// model's parent-walk reference (Design.NaiveLCA) over every pair class
+// — FF clocks, internal buffers, mixed — on random trees much deeper
+// than the targeted unit-test fixtures.
+func TestEulerVsNaiveProperty(t *testing.T) {
 	seeds := []int64{11, 12, 13, 14}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -47,10 +45,9 @@ func TestLiftingVsEulerProperty(t *testing.T) {
 			u := pins[rng.Intn(len(pins))]
 			v := pins[rng.Intn(len(pins))]
 			euler := tr.LCA(u, v)
-			lift := tr.LCALifting(u, v)
-			if euler != lift {
-				t.Fatalf("seed %d: LCA(%s,%s): euler %s, lifting %s", seed,
-					d.PinName(u), d.PinName(v), d.PinName(euler), d.PinName(lift))
+			if naive := d.NaiveLCA(u, v); euler != naive {
+				t.Fatalf("seed %d: LCA(%s,%s): euler %s, naive %s", seed,
+					d.PinName(u), d.PinName(v), d.PinName(euler), d.PinName(naive))
 			}
 			if dep := tr.LCADepth(u, v); dep != tr.Depth(euler) {
 				t.Fatalf("seed %d: LCADepth(%s,%s) = %d, want depth(%s) = %d", seed,
@@ -60,10 +57,10 @@ func TestLiftingVsEulerProperty(t *testing.T) {
 	}
 }
 
-// TestLiftingVsEulerMultiDomain extends the comparison to clock forests:
-// on designs with several clock domains both structures must also agree
-// that cross-domain pairs have no LCA (NoPin).
-func TestLiftingVsEulerMultiDomain(t *testing.T) {
+// TestEulerVsNaiveMultiDomain extends the comparison to clock forests:
+// on designs with several clock domains both must also agree that
+// cross-domain pairs have no LCA (NoPin).
+func TestEulerVsNaiveMultiDomain(t *testing.T) {
 	for _, domains := range []int{2, 3} {
 		spec := gen.SmallOracle(int64(domains))
 		spec.NumDomains = domains
@@ -72,10 +69,10 @@ func TestLiftingVsEulerMultiDomain(t *testing.T) {
 		cross := 0
 		for _, u := range ffClockPins(d) {
 			for _, v := range ffClockPins(d) {
-				euler, lift := tr.LCA(u, v), tr.LCALifting(u, v)
-				if euler != lift {
-					t.Fatalf("domains %d: LCA(%s,%s): euler %s, lifting %s", domains,
-						d.PinName(u), d.PinName(v), d.PinName(euler), d.PinName(lift))
+				euler, naive := tr.LCA(u, v), d.NaiveLCA(u, v)
+				if euler != naive {
+					t.Fatalf("domains %d: LCA(%s,%s): euler %s, naive %s", domains,
+						d.PinName(u), d.PinName(v), d.PinName(euler), d.PinName(naive))
 				}
 				if euler == model.NoPin {
 					cross++
@@ -90,7 +87,7 @@ func TestLiftingVsEulerMultiDomain(t *testing.T) {
 
 // TestDeriveEqualsFreshNew is the substrate-sharing oracle: a tree
 // derived from the base corner's (sharing its shape — depth arrays,
-// jump tables, Euler tour, per-level grouping) must answer every query
+// Euler tour, per-level grouping) must answer every query
 // exactly like a tree built from scratch on the corner view.
 func TestDeriveEqualsFreshNew(t *testing.T) {
 	for _, seed := range []int64{21, 22, 23} {

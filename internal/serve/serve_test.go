@@ -458,7 +458,7 @@ func TestCoalescingHappens(t *testing.T) {
 
 // TestUnknownAndInvalid checks the 4xx surface.
 func TestUnknownAndInvalid(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
 	resp, _ := postJSON(t, hs.URL+"/v1/query", QueryRequest{Design: "nope", K: 1})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown design: status %d, want 404", resp.StatusCode)
@@ -466,6 +466,13 @@ func TestUnknownAndInvalid(t *testing.T) {
 	resp, _ = postJSON(t, hs.URL+"/v1/query", QueryRequest{Design: "nope", K: 1, Mode: "frob"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad mode: status %d, want 400", resp.StatusCode)
+	}
+	// The retired inexact rerank heuristic is an unknown algorithm.
+	loadMedium(t, s, "m", 1)
+	resp, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Design: "m", K: 1, Algorithm: "rerank"})
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusBadRequest || eb.Kind != "invalid" {
+		t.Fatalf("algorithm rerank: status %d body %s, want 400 kind invalid", resp.StatusCode, body)
 	}
 	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/designs/nope", nil)
 	dresp, err := http.DefaultClient.Do(req)

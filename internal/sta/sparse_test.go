@@ -62,8 +62,7 @@ func propState(p *Prop, u model.PinID) (live bool, a, b Tuple) {
 // requireKernelsEqual compares the full post-run state of the dense and
 // sparse kernels: per-pin liveness and, for live pins, the raw at/at'
 // tuples. Byte-identical tuples (including From/Origin tie-breaks) are
-// the contract the differential battery and the DenseKernel ablation
-// knob rely on.
+// the contract the engine's dense-reference job test relies on.
 func requireKernelsEqual(t testing.TB, d *model.Design, dense, sparse *Prop) {
 	t.Helper()
 	for u := 0; u < d.NumPins(); u++ {

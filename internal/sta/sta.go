@@ -205,9 +205,9 @@ type propSlot struct {
 //   - Reset arms the dense reference kernel (Run/RunCtx): parallel
 //     a/b/stamp arrays scanned over the full topological order. This is
 //     the layout and loop structure the sparse kernel replaced, kept as
-//     the byte-identical reference for differential verification
-//     (Options/Query DenseKernel) and as the natural kernel for the
-//     baselines, which seed every FF anyway.
+//     the byte-identical reference the sparse kernels are tested
+//     against and as the natural kernel for the baselines, which seed
+//     every FF anyway.
 //   - ResetFor arms the sparse frontier kernel (RunSparse): cache-line
 //     slots plus a worklist of live pins' topological indices, so one
 //     run costs O(active cone), not Θ(#pins + #arcs).
