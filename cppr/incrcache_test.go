@@ -243,8 +243,8 @@ func TestCornerScopedEditInvalidation(t *testing.T) {
 }
 
 // TestStatsJSONRoundTrip: TimerStats is part of the JSON surface
-// (cpprbench emits it); every field must survive a marshal/unmarshal
-// round trip.
+// (cpprserve's /stats emits it per design); every field must survive a
+// marshal/unmarshal round trip.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	d := gen.MustGenerate(gen.Medium(31))
 	timer := NewTimer(d)

@@ -62,7 +62,10 @@ func signoffTimer(tb testing.TB, seed int64, sdcText string) (*cppr.Timer, *mode
 // ideal vs propagated clocks, I/O delay overrides, same_transition CRPR
 // both query- and SDC-selected) is cross-checked — all exact engines
 // against exhaustive enumeration — on inverter-mixed oracle designs,
-// per jittered corner, per mode, per k.
+// per jittered corner, per mode, per k. It also requires each knob in
+// signoffMovers to move the worst post-CPPR slack against the "off" leg
+// in at least one corner and mode: a knob that never changes anything
+// would mean its plumbing is disconnected.
 func TestSignoffKnobsVsBruteForce(t *testing.T) {
 	withBrute := append([]cppr.Algorithm{cppr.AlgoBruteForce}, algos...)
 	seeds := []int64{7, 21}
@@ -70,6 +73,7 @@ func TestSignoffKnobsVsBruteForce(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
+		worst := map[string][]model.Time{}
 		for _, knob := range signoffKnobs {
 			timer, d := signoffTimer(t, seed, knob.sdc)
 			for c := model.Corner(0); int(c) < d.NumCorners(); c++ {
@@ -80,11 +84,28 @@ func TestSignoffKnobsVsBruteForce(t *testing.T) {
 						}, withBrute...)
 					}
 					CheckEndpointSweep(t, timer, cppr.Query{Mode: mode, Corners: cppr.CornerBit(c), CRPR: knob.crpr})
+					rep, err := timer.Run(context.Background(), cppr.Query{K: 1, Mode: mode, Corners: cppr.CornerBit(c), CRPR: knob.crpr})
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, _ := rep.WorstSlack()
+					worst[knob.name] = append(worst[knob.name], w)
 				}
+			}
+		}
+		for _, name := range signoffMovers {
+			if Equal(worst[name], worst["off"]) {
+				t.Errorf("seed %d: knob %s never moved the worst slack off %v in any corner or mode", seed, name, worst["off"])
 			}
 		}
 	}
 }
+
+// signoffMovers are the knobs that must move the worst slack on the
+// battery designs. propagated_clock restates the default, and
+// same_transition_sdc is pinned to same_transition by
+// TestSignoffSDCDefaultMatchesExplicit.
+var signoffMovers = []string{"uncertainty", "derate", "ideal_clock", "io_delay", "same_transition"}
 
 // TestSignoffWarmCold runs the warm/cold byte-identity legs per knob: on
 // one timer, warm (journal + memo caches) vs cold (NoCache) reports must

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -63,8 +62,46 @@ func TestFig5And6Smoke(t *testing.T) {
 	if err := Fig6(tinyCfg(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Figure 6") || !strings.Contains(buf.String(), "16") {
-		t.Error("Fig6 output incomplete")
+	out := buf.String()
+	for _, want := range []string{"Figure 6", "16", "batch RT", "batch speedup", "identical", "true", "best speedup"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Fig6 output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFig6SpeedupFloor exercises the MinBatchSpeedup gate in both of its
+// host regimes: a trivially clearable floor always passes, and then
+// either (multi-core) an absurd floor must fail, or (single-core) the
+// gate must degrade to the logged skip because wall-clock speedup is
+// impossible there.
+func TestFig6SpeedupFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure 6 smoke is slow")
+	}
+	var buf bytes.Buffer
+	cfg := tinyCfg(&buf)
+	cfg.MinBatchSpeedup = 0.01
+	if err := Fig6(cfg); err != nil {
+		t.Fatalf("trivially clearable floor failed: %v", err)
+	}
+	if runtime.NumCPU() == 1 {
+		if !strings.Contains(buf.String(), "not enforced on a single-core host") {
+			t.Error("single-core skip line missing")
+		}
+		buf.Reset()
+		cfg.MinBatchSpeedup = 1000
+		if err := Fig6(cfg); err != nil {
+			t.Fatalf("floor armed on a single-core host: %v", err)
+		}
+	} else {
+		buf.Reset()
+		cfg.MinBatchSpeedup = 1e9
+		if err := Fig6(cfg); err == nil {
+			t.Fatal("absurd floor passed on a multi-core host")
+		} else if !strings.Contains(err.Error(), "below the") {
+			t.Fatalf("wrong error for floor violation: %v", err)
+		}
 	}
 }
 
@@ -112,112 +149,5 @@ func TestColumnsCollapseAtOneThread(t *testing.T) {
 func TestHostInfo(t *testing.T) {
 	if !strings.Contains(HostInfo(), "CPU core") {
 		t.Error("HostInfo malformed")
-	}
-}
-
-func TestIncrementalSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("incremental smoke is slow")
-	}
-	var buf, jsonBuf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	cfg.JSONOut = &jsonBuf
-	if err := Incremental(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Incremental edit", "leon2", "vga_lcdv2", "memo-hit"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Incremental output missing %q", want)
-		}
-	}
-	var st IncrementalStats
-	if err := json.Unmarshal(jsonBuf.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Scenarios) != 3 {
-		t.Fatalf("got %d scenarios, want 3", len(st.Scenarios))
-	}
-	if st.HeadlineSpeedup <= 0 {
-		t.Fatalf("headline speedup %v not positive", st.HeadlineSpeedup)
-	}
-	for _, sc := range st.Scenarios {
-		if sc.WarmNs <= 0 || sc.ColdNs <= 0 || sc.MemoHitNs <= 0 {
-			t.Fatalf("unmeasured scenario: %+v", sc)
-		}
-	}
-}
-
-// TestParallelSpeedupFloor exercises the MinBatchSpeedup gate in both
-// of its host regimes: a trivially clearable floor always passes, and
-// then either (multi-core) an absurd floor must fail, or (single-core)
-// the gate must degrade to the logged skip because wall-clock speedup
-// is impossible there.
-func TestParallelSpeedupFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel smoke is slow")
-	}
-	var buf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	cfg.MinBatchSpeedup = 0.01
-	if err := Parallel(cfg); err != nil {
-		t.Fatalf("trivially clearable floor failed: %v", err)
-	}
-	if runtime.NumCPU() == 1 {
-		if !strings.Contains(buf.String(), "not enforced on a single-core host") {
-			t.Error("single-core skip line missing")
-		}
-		buf.Reset()
-		cfg.MinBatchSpeedup = 1000
-		if err := Parallel(cfg); err != nil {
-			t.Fatalf("floor armed on a single-core host: %v", err)
-		}
-	} else {
-		buf.Reset()
-		cfg.MinBatchSpeedup = 1e9
-		if err := Parallel(cfg); err == nil {
-			t.Fatal("absurd floor passed on a multi-core host")
-		} else if !strings.Contains(err.Error(), "below the") {
-			t.Fatalf("wrong error for floor violation: %v", err)
-		}
-	}
-}
-
-// TestHierSmoke runs the hierarchical experiment end to end at tiny
-// scale and checks the table, the headline line, and the JSON shape.
-func TestHierSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hier smoke is slow")
-	}
-	var buf, jsonBuf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	cfg.JSONOut = &jsonBuf
-	if err := Hier(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Hierarchical CPPR", "blocked_array", "leon2", "hierarchical speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Hier output missing %q", want)
-		}
-	}
-	var st HierStats
-	if err := json.Unmarshal(jsonBuf.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Scenarios) != 2 {
-		t.Fatalf("got %d scenarios, want 2", len(st.Scenarios))
-	}
-	head := st.Scenarios[0]
-	if head.Design != "blocked_array" || head.Extracted != 1 || head.Reused < 2 {
-		t.Fatalf("headline scenario wrong: %+v", head)
-	}
-	if st.HeadlineReuses != head.Reused {
-		t.Fatalf("headline reuses %d != scenario reuses %d", st.HeadlineReuses, head.Reused)
-	}
-	for _, sc := range st.Scenarios {
-		if sc.FlatNs <= 0 || sc.ElabNs <= 0 || len(sc.Runs) != len(hierWorkers) {
-			t.Fatalf("unmeasured scenario: %+v", sc)
-		}
 	}
 }
