@@ -57,10 +57,7 @@ func mergeCornerReports(corners []model.Corner, reps []Report, k int) Report {
 	for i := range reps {
 		remaining += len(reps[i].Paths)
 		out.Degraded = out.Degraded || reps[i].Degraded
-		out.Stats.Jobs += reps[i].Stats.Jobs
-		out.Stats.Candidates += reps[i].Stats.Candidates
-		out.Stats.Kept += reps[i].Stats.Kept
-		out.Stats.Reconstructed += reps[i].Stats.Reconstructed
+		out.Stats.Add(reps[i].Stats)
 	}
 	if remaining < k {
 		k = remaining

@@ -108,6 +108,18 @@ type Stats struct {
 	Kept int
 	// Reconstructed counts full pin-sequence reconstructions performed.
 	Reconstructed int
+	// Seeded is the number of seed tuples offered across jobs. A bounded
+	// (cold) run offers only the seeds within its limit (seedJob).
+	Seeded int
+}
+
+// Add accumulates o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Jobs += o.Jobs
+	s.Candidates += o.Candidates
+	s.Kept += o.Kept
+	s.Reconstructed += o.Reconstructed
+	s.Seeded += o.Seeded
 }
 
 // Result is a ranked top-k path report.
@@ -275,21 +287,6 @@ func (s *scratch) canceled() bool {
 // between cooperative cancellation checks, bounding cancel latency
 // without measurable steady-state cost.
 const cancelStride = 2048
-
-// resetProp prepares the worker's propagation arrays for one job: an
-// O(1) epoch bump that binds the design's topological order so seeding
-// Offers feed the sparse frontier. A cold run (gb non-nil, global bound
-// enabled) also arms spec's required-time bound at the query's current
-// limit, so the kernel drops every tuple that cannot lead to a path
-// within it.
-func (e *Engine) resetProp(s *scratch, spec jobSpec, opts *Options, gb *globalBound) {
-	s.prop.ResetFor(e.d)
-	if gb != nil && !opts.DisableGlobalBound {
-		if b, ok := gb.limit(); ok {
-			s.prop.SetBound(e.modeBounds(opts.Mode).jobReq(spec), b)
-		}
-	}
-}
 
 // runProp propagates the seeded tuples with the sparse frontier kernel.
 // With PropThreads above 1 it runs partitioned across barrier blocks;
@@ -500,27 +497,24 @@ func (e *Engine) topPaths(ctx context.Context, opts Options, mc *MemoCtx) (Resul
 		bound.prior, bound.hasPrior = e.priorBound(&opts)
 	}
 	var mu sync.Mutex
-	var candidates, kept, reconstructed atomic.Int64
+	stats := Stats{Jobs: numJobs}
 	err := e.forEachJob(ctx, &opts, numJobs, "core.TopPaths", "core.worker", func(s *scratch, j int) {
 		var outs []*jobOut
-		var produced int
+		var st Stats
 		if mc == nil {
-			outs, produced = e.runJob(s, jobs[j], j, k, opts, &bound)
+			outs, st = e.runJob(s, jobs[j], j, k, opts, &bound)
 		} else {
-			var rebuilt int
-			outs, produced, rebuilt = e.memoJob(s, jobs[j], j, k, opts, mc)
-			reconstructed.Add(int64(rebuilt))
+			outs, st = e.memoJob(s, jobs[j], j, k, opts, mc)
 		}
-		candidates.Add(int64(produced))
-		kept.Add(int64(len(outs)))
 		mu.Lock()
 		defer mu.Unlock()
+		stats.Add(st)
 		for _, o := range outs {
 			// Cold outputs materialise their pins only on acceptance,
 			// while this worker's propagation arrays are still intact.
 			if global.PushBounded(o, k) && o.pins == nil {
 				o.pins = e.reconstruct(s.prop, o.chain)
-				reconstructed.Add(1)
+				stats.Reconstructed++
 			}
 		}
 		if global.Len() >= k {
@@ -547,15 +541,7 @@ func (e *Engine) topPaths(ctx context.Context, opts Options, mc *MemoCtx) (Resul
 		}
 		paths = append(paths, p)
 	}
-	return Result{
-		Paths: paths,
-		Stats: Stats{
-			Jobs:          numJobs,
-			Candidates:    int(candidates.Load()),
-			Kept:          int(kept.Load()),
-			Reconstructed: int(reconstructed.Load()),
-		},
-	}, nil
+	return Result{Paths: paths, Stats: stats}, nil
 }
 
 // materialise converts an accepted jobOut into a model.Path.
@@ -597,7 +583,13 @@ type jobSpec struct {
 // level, self-loop and PI jobs, plus the optional cross-domain and PO
 // jobs.
 func (e *Engine) jobPlan(opts Options) []jobSpec {
-	jobs := make([]jobSpec, 0, e.d.Depth+4)
+	active := 0
+	for d := 0; d < e.d.Depth; d++ {
+		if e.tree.LevelActive(d) {
+			active++
+		}
+	}
+	jobs := make([]jobSpec, 0, active+4)
 	for d := 0; d < e.d.Depth; d++ {
 		// A depth where no FF pair has its exact clock LCA generates zero
 		// candidates: the level job would propagate the full cone and then
@@ -627,15 +619,20 @@ func (e *Engine) jobPlan(opts Options) []jobSpec {
 
 // runJob executes one candidate-generation job in its three phases —
 // seed, propagate, collect — returning the filtered candidates and the
-// number produced before filtering. The phase split is what the patched
-// recompute path builds on: a retained propagation replaces the first
-// two phases and runJobOn replays only the collect phase against it.
-func (e *Engine) runJob(s *scratch, spec jobSpec, j, k int, opts Options, gb *globalBound) ([]*jobOut, int) {
-	if !e.seedJob(s, spec, opts, gb) {
-		return nil, 0
+// job's counters: Candidates (produced before filtering), Kept and
+// Seeded. A job that seeds nothing returns at once: its propagation and
+// collect phases would find nothing. The phase split is what the
+// patched recompute path builds on: a retained propagation replaces the
+// first two phases and runJobOn replays only the collect phase against
+// it.
+func (e *Engine) runJob(s *scratch, spec jobSpec, j, k int, opts Options, gb *globalBound) ([]*jobOut, Stats) {
+	seeded, ok := e.seedJob(s, spec, opts, gb)
+	if !ok || seeded == 0 {
+		return nil, Stats{Seeded: seeded}
 	}
 	e.runProp(s, opts.Mode == model.Setup, &opts)
-	return e.collectJob(s, spec, j, k, opts, gb)
+	outs, produced := e.collectJob(s, spec, j, k, opts, gb)
+	return outs, Stats{Candidates: produced, Kept: len(outs), Seeded: seeded}
 }
 
 // jobSlack computes the endpoint slack from the propagated data arrival
@@ -723,40 +720,70 @@ func (e *Engine) piSeed(spec jobSpec, i int, opts *Options) (sta.Tuple, bool) {
 	return sta.Tuple{Time: t, From: model.NoPin, Origin: pi, Group: sta.NoGroup, Valid: true}, true
 }
 
-// seedJob resets the propagation scratch (under gb's limit, if any; see
-// resetProp) and offers spec's seed tuples. Returns false on
-// cancellation.
-func (e *Engine) seedJob(s *scratch, spec jobSpec, opts Options, gb *globalBound) bool {
-	e.resetProp(s, spec, &opts, gb)
-	return e.offerSeeds(s, spec, &opts)
+// seedJob prepares the worker's propagation arrays for one job (an O(1)
+// epoch bump that binds the design's topological order so seeding Offers
+// feed the sparse frontier) and offers spec's seed tuples. A cold run
+// (gb non-nil, global bound enabled) arms spec's required-time bound at
+// the query's current limit, so the kernel drops every tuple that cannot
+// lead to a path within it, and offers the FF seeds in the job's bound
+// order (seedOrder), so it stops at the first seed the bound drops.
+// Returns the number of seeds offered, and false on cancellation.
+func (e *Engine) seedJob(s *scratch, spec jobSpec, opts Options, gb *globalBound) (int, bool) {
+	s.prop.ResetFor(e.d)
+	lt, ffs := e.jobTables(spec, opts)
+	if gb != nil && !opts.DisableGlobalBound {
+		if b, ok := gb.limit(); ok {
+			mb := e.modeBounds(opts.Mode)
+			s.prop.SetBound(mb.jobReq(spec), b)
+			ffs = e.seedOrder(mb, spec, &opts)
+		}
+	}
+	return e.offerSeeds(s, spec, &opts, lt, ffs)
 }
 
 // offerSeeds offers spec's seed tuples to s.prop, which the caller has
-// reset: FF Q pins in ascending FF order, then primary inputs (ffSeed,
-// piSeed). Returns false on cancellation.
-func (e *Engine) offerSeeds(s *scratch, spec jobSpec, opts *Options) bool {
+// reset: the Q pins of ffs (ffSeed, lt from jobTables), then primary
+// inputs (piSeed). Seeds beyond s.prop's armed bound are not offered;
+// the FF loop stops at the first one, so under a bound ffs must be in
+// bound order. Each Q pin gets at most one offer and the frontier pops
+// in topological order, so the offer order cannot change the
+// propagation. Returns the number of seeds offered, and false on
+// cancellation.
+func (e *Engine) offerSeeds(s *scratch, spec jobSpec, opts *Options, lt *lca.LevelTables, ffs []model.FFID) (int, bool) {
 	setup := opts.Mode == model.Setup
-	lt, seeds := e.jobTables(spec, *opts)
-	for si, fi := range seeds {
+	offered := 0
+	for si, fi := range ffs {
 		if si%cancelStride == 0 && s.canceled() {
-			return false
+			return offered, false
 		}
-		if t, ok := e.ffSeed(spec, lt, int(fi), opts); ok {
-			s.prop.Offer(e.d.FFs[fi].Output, t.Time, t.From, t.Origin, t.Group, setup)
+		t, ok := e.ffSeed(spec, lt, int(fi), opts)
+		if !ok {
+			continue
 		}
+		q := e.d.FFs[fi].Output
+		if s.prop.Beyond(q, t.Time, setup) {
+			break
+		}
+		s.prop.Offer(q, t.Time, t.From, t.Origin, t.Group, setup)
+		offered++
 	}
 	for i, pi := range e.d.PIs {
-		if t, ok := e.piSeed(spec, i, opts); ok {
+		if t, ok := e.piSeed(spec, i, opts); ok && !s.prop.Beyond(pi, t.Time, setup) {
 			s.prop.Offer(pi, t.Time, t.From, t.Origin, t.Group, setup)
+			offered++
 		}
 	}
-	return true
+	return offered, true
 }
 
 // roots visits spec's root candidates in the completed propagation in
 // s.prop, with their slacks: the best (grouped, for level and cross
 // jobs) arrival at each capture FF's D pin, or at each constrained PO
-// for the PO job. Returns false on cancellation.
+// for the PO job. FF captures are read from the D pins the run reached
+// (sta.Prop.Reached) when the propagation still lists them, else from
+// the job's whole FF list; a D pin the run did not reach holds no tuple,
+// and every consumer is order-free (the job heap orders by a total
+// key), so both visit the same roots. Returns false on cancellation.
 func (e *Engine) roots(s *scratch, spec jobSpec, opts *Options, visit func(pos model.PinID, capFF model.FFID, gid int32, slack model.Time)) bool {
 	setup := opts.Mode == model.Setup
 	if spec.kind == jobPO {
@@ -773,10 +800,21 @@ func (e *Engine) roots(s *scratch, spec jobSpec, opts *Options, visit func(pos m
 		}
 		return true
 	}
-	lt, seeds := e.jobTables(spec, *opts)
-	for si, fi := range seeds {
-		if si%cancelStride == 0 && s.canceled() {
+	lt, ffs := e.jobTables(spec, *opts)
+	reached, ok := s.prop.Reached()
+	n := len(ffs)
+	if ok {
+		n = len(reached)
+	}
+	for i := 0; i < n; i++ {
+		if i%cancelStride == 0 && s.canceled() {
 			return false
+		}
+		var fi model.FFID
+		if ok {
+			fi = e.d.Pins[reached[i]].FF
+		} else {
+			fi = ffs[i]
 		}
 		if opts.captureExcluded(int(fi)) {
 			continue
@@ -839,6 +877,7 @@ func (e *Engine) collectJob(s *scratch, spec jobSpec, j, k int, opts Options, gb
 // domain/parity mismatch test for the cross job, the true-self-loop test,
 // and the trivial zero-credit stamp for PI and PO candidates.
 func (e *Engine) jobKeep(spec jobSpec, opts Options) func(*jobOut) bool {
+	sameTrans := opts.CRPR == model.CRPRSameTransition
 	switch spec.kind {
 	case jobLevel:
 		d := spec.level
@@ -849,7 +888,7 @@ func (e *Engine) jobKeep(spec jobSpec, opts Options) func(*jobOut) bool {
 			// (their credit is zero at every common ancestor, so the
 			// level credit this job applied would overstate it).
 			capCK := e.d.FFs[o.capFF].Clock
-			if opts.CRPR == model.CRPRSameTransition && e.tree.Parity(o.launch) != e.tree.Parity(capCK) {
+			if sameTrans && e.tree.Parity(o.launch) != e.tree.Parity(capCK) {
 				return false
 			}
 			lcaNode := e.tree.LCA(o.launch, capCK)
@@ -861,7 +900,6 @@ func (e *Engine) jobKeep(spec jobSpec, opts Options) func(*jobOut) bool {
 			return true
 		}
 	case jobCross:
-		sameTrans := opts.CRPR == model.CRPRSameTransition
 		return func(o *jobOut) bool {
 			capCK := e.d.FFs[o.capFF].Clock
 			if e.tree.SameDomain(o.launch, capCK) &&
@@ -1133,7 +1171,7 @@ func (e *Engine) endpointBest(s *scratch, spec jobSpec, opts Options, slacks []m
 	for i := range valid {
 		valid[i] = false
 	}
-	if !e.seedJob(s, spec, opts, nil) {
+	if seeded, ok := e.seedJob(s, spec, opts, nil); !ok || seeded == 0 {
 		return
 	}
 	e.runProp(s, opts.Mode == model.Setup, &opts)

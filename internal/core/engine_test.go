@@ -331,7 +331,9 @@ func TestStatsReconstructedBounded(t *testing.T) {
 // byte-identical to DisableGlobalBound runs across k, modes, PO
 // endpoints, false-path exclusions, FilterCapture, same_transition on a
 // parity-mixed clock tree and partitioned kernels, and does strictly
-// less work on a design where most levels contribute nothing.
+// less work on a design where most levels contribute nothing. On leon2
+// at k=1 the bounded run must also offer strictly fewer seeds, so
+// bound-ordered seeding cannot silently stop cutting.
 func TestGlobalBoundPruningIsResultNeutral(t *testing.T) {
 	d := gen.MustGenerate(gen.Medium(61))
 	e := NewEngine(d)
@@ -374,6 +376,10 @@ func TestGlobalBoundPruningIsResultNeutral(t *testing.T) {
 				if c.name == "plain" && k == 300 && with.Stats.Candidates >= without.Stats.Candidates {
 					t.Errorf("mode %v: pruning did not reduce work (%d vs %d candidates)",
 						mode, with.Stats.Candidates, without.Stats.Candidates)
+				}
+				if c.e == big && k == 1 && with.Stats.Seeded >= without.Stats.Seeded {
+					t.Errorf("%s %v k=1: bounded run offered %d seeds, unbounded %d",
+						c.name, mode, with.Stats.Seeded, without.Stats.Seeded)
 				}
 			}
 		}

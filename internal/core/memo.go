@@ -182,15 +182,15 @@ func (e *Engine) TopPathsMemo(ctx context.Context, opts Options, mc MemoCtx) (Re
 // memoJob is the cached path's per-job step: serve spec from the
 // cache, else patch its retained propagation, else run it in full, and
 // store what was computed. It returns the outputs at budget k (pins
-// materialised), the produced count a cold run at budget k reports, and
-// how many pin sequences it reconstructed. A canceled run yields
-// nothing.
-func (e *Engine) memoJob(s *scratch, spec jobSpec, j, k int, opts Options, mc *MemoCtx) ([]*jobOut, int, int) {
+// materialised) and the job's counters: the produced count a cold run
+// at budget k reports, Kept, how many pin sequences it reconstructed,
+// and the seeds a full run offered. A canceled run yields nothing.
+func (e *Engine) memoJob(s *scratch, spec jobSpec, j, k int, opts Options, mc *MemoCtx) ([]*jobOut, Stats) {
 	cache := mc.Cache
 	key := jobKey{kind: spec.kind, level: spec.level, mode: opts.Mode, crpr: jobKeyCRPR(spec.kind, opts.CRPR)}
 	res, outcome := cache.jobs.Lookup(key, k, mc.Journal)
 	cache.ctr.note(outcome)
-	rebuilt := 0
+	var st Stats
 	if !outcome.Served() {
 		// Run at full fidelity: no global bound, whose truncation point
 		// depends on sibling-job timing.
@@ -199,15 +199,16 @@ func (e *Engine) memoJob(s *scratch, spec jobSpec, j, k int, opts Options, mc *M
 		if res, ok = e.servePatched(s, cache, key, spec, j, k, opts, mc); ok {
 			cache.ctr.Patched.Add(1)
 		} else {
-			outs, produced := e.runJob(s, spec, j, k, opts, &globalBound{})
+			outs, run := e.runJob(s, spec, j, k, opts, &globalBound{})
 			if s.canceled() {
-				return nil, 0, 0 // partial stream; do not store or merge
+				return nil, Stats{} // partial stream; do not store or merge
 			}
-			res = jobResult{produced: produced, outs: e.materialiseOuts(s.prop, outs)}
+			st.Seeded = run.Seeded
+			res = jobResult{produced: run.Candidates, outs: e.materialiseOuts(s.prop, outs)}
 			e.retainProp(s, cache, key, mc)
 		}
 		cache.jobs.Store(key, res, k, res.produced < k, mc.Journal, mc.Corner, e.jobCone(spec))
-		rebuilt = len(res.outs)
+		st.Reconstructed = len(res.outs)
 	}
 	n := len(res.outs)
 	for n > 0 && res.outs[n-1].idx >= k {
@@ -219,7 +220,8 @@ func (e *Engine) memoJob(s *scratch, spec jobSpec, j, k int, opts Options, mc *M
 		served[i].job = j
 		outs[i] = &served[i]
 	}
-	return outs, min(res.produced, k), rebuilt
+	st.Candidates, st.Kept = min(res.produced, k), n
+	return outs, st
 }
 
 // materialiseOuts returns the cacheable form of a job run's outputs:

@@ -97,7 +97,8 @@ func denseScratch() *scratch {
 func (e *Engine) runDense(tb testing.TB, s *scratch, spec jobSpec, opts Options) {
 	tb.Helper()
 	s.prop.Reset(e.d.NumPins())
-	if !e.offerSeeds(s, spec, &opts) {
+	lt, ffs := e.jobTables(spec, opts)
+	if _, ok := e.offerSeeds(s, spec, &opts, lt, ffs); !ok {
 		tb.Fatal("dense reference seeding canceled")
 	}
 	s.prop.RunCtx(e.d, opts.Mode == model.Setup, nil)
@@ -153,7 +154,9 @@ func checkJobsAgainstDense(t *testing.T, e *Engine, sparse, dense *scratch, opts
 			var outs []*jobOut
 			var produced int
 			if ki == 0 {
-				outs, produced = e.runJob(sparse, spec, j, k, opts, &globalBound{})
+				var st Stats
+				outs, st = e.runJob(sparse, spec, j, k, opts, &globalBound{})
+				produced = st.Candidates
 			} else {
 				outs, produced = e.collectJob(sparse, spec, j, k, opts, &globalBound{})
 			}

@@ -9,7 +9,8 @@ import (
 	"fastcppr/model"
 )
 
-// lowerBound is a tuple's lower bound on the final slack under req.
+// lowerBound is a tuple's lower bound on the final slack under req: the
+// test's own statement of the rule the kernel's cut applies.
 func lowerBound(req []model.Time, v model.PinID, t model.Time, setup bool) model.Time {
 	if setup {
 		return req[v] - t
@@ -104,6 +105,7 @@ func TestBoundedRunKeepsSurvivors(t *testing.T) {
 					applySeeds(&ser, ops, setup)
 					ser.RunSparse(d, setup, nil)
 					requireBoundedSurvivors(t, d, req, b, setup, &unb, &ser)
+					requireReached(t, d, &ser, ops, setup)
 					for _, threads := range []int{2, 3} {
 						old := sparseParGrain
 						sparseParGrain = 1
@@ -114,8 +116,29 @@ func TestBoundedRunKeepsSurvivors(t *testing.T) {
 						par.RunSparseParallel(d, setup, nil, threads)
 						sparseParGrain = old
 						requireBoundedSurvivors(t, d, req, b, setup, &unb, &par)
+						requireReached(t, d, &par, ops, setup)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSlackLowerBoundMatchesOracle: the exported SlackLowerBound, which
+// the kernel's cut and the engine's seed order both use, agrees with
+// lowerBound on random inputs.
+func TestSlackLowerBoundMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	req := make([]model.Time, 64)
+	for rep := 0; rep < 1000; rep++ {
+		for i := range req {
+			req[i] = model.Time(rng.Int63n(1<<40) - 1<<39)
+		}
+		v := model.PinID(rng.Intn(len(req)))
+		tm := model.Time(rng.Int63n(1<<40) - 1<<39)
+		for _, setup := range []bool{true, false} {
+			if got, want := SlackLowerBound(req, v, tm, setup), lowerBound(req, v, tm, setup); got != want {
+				t.Fatalf("SlackLowerBound(req[%d]=%v, t=%v, setup=%v) = %v, want %v", v, req[v], tm, setup, got, want)
 			}
 		}
 	}

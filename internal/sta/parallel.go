@@ -73,12 +73,13 @@ func (p *Prop) parPrep(threads int) *parScratch {
 //     resulting tuples are bit-identical to the serial kernel's for any
 //     thread count.
 //
-// Blocks whose live population is below sparseParGrain are relaxed by
-// the leader with the serial inner loop, so sparse cones (the common
-// incremental case) pay no synchronization at all. Early cancel
-// Invalidates the arrays like RunSparse; cancellation is checked at
-// block barriers, so cancel latency is bounded by one block's relax
-// work divided by the worker count.
+// Under an armed bound the leader records each drained FF D pin for
+// Reached, as RunSparse does. Blocks whose live population is below
+// sparseParGrain are relaxed by the leader with the serial inner loop,
+// so sparse cones (the common incremental case) pay no synchronization
+// at all. Early cancel Invalidates the arrays like RunSparse;
+// cancellation is checked at block barriers, so cancel latency is
+// bounded by one block's relax work divided by the worker count.
 func (p *Prop) RunSparseParallel(d *model.Design, setup bool, done <-chan struct{}, threads int) {
 	if !p.sparse {
 		panic("sta: RunSparseParallel on a Prop not prepared with ResetFor")
@@ -91,6 +92,7 @@ func (p *Prop) RunSparseParallel(d *model.Design, setup bool, done <-chan struct
 	f := &p.fr
 	f.grow(len(p.topo))
 	ps := p.parPrep(threads)
+	record := p.req != nil
 	steps := 0
 	for f.count > 0 {
 		if done != nil && steps&15 == 0 {
@@ -133,7 +135,11 @@ func (p *Prop) RunSparseParallel(d *model.Design, setup bool, done <-chan struct
 			for word != 0 {
 				bit := bits.TrailingZeros64(word)
 				word &^= 1 << uint(bit)
-				live = append(live, base+int32(bit))
+				ti := base + int32(bit)
+				live = append(live, ti)
+				if u := p.topo[ti]; record && d.Pins[u].Kind == model.FFData {
+					p.reached = append(p.reached, u)
+				}
 			}
 		}
 		ps.live = live
@@ -205,6 +211,7 @@ func (p *Prop) RunSparseParallel(d *model.Design, setup bool, done <-chan struct
 			}
 		}
 	}
+	p.reachedOK = record
 }
 
 // relaxSparse relaxes one live pin exactly like RunSparse's inner loop:

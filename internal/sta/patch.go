@@ -57,7 +57,8 @@ func (u *PropUndo) save(v model.PinID, s propSlot) {
 // CloneSparse returns an independent copy of a completed sparse
 // propagation, sharing only the design's immutable topological tables.
 // The clone is detached from the scratch pool: it is meant to be
-// retained across queries and patched in place.
+// retained across queries and patched in place. It does not carry the
+// reached list (Reached reports it invalid).
 func (p *Prop) CloneSparse() *Prop {
 	if !p.sparse {
 		return nil
@@ -104,6 +105,9 @@ func (p *Prop) PatchSparse(d *model.Design, setup bool, arcs []int32, seed func(
 	// being processed.
 	fr := &p.fr
 	fr.reset()
+	// The live set is unchanged, but the reached list is kept only for
+	// fresh runs: callers fall back to scanning their endpoints.
+	p.reachedOK = false
 	for _, ai := range arcs {
 		v := d.Arcs[ai].To
 		if p.slots[v].stamp != p.epoch {

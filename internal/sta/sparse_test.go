@@ -83,9 +83,58 @@ func requireKernelsEqual(t testing.TB, d *model.Design, dense, sparse *Prop) {
 	}
 }
 
+// requireReached checks the reached list of a completed bounded sparse
+// run: it is valid, holds no pin twice, and is exactly the set of FF D
+// pins that hold a tuple. It then checks that a clone and a patched propagation
+// report the list invalid; the patch re-folds one live D pin (or any arc
+// sink) in place, so p must not be read afterwards.
+func requireReached(t testing.TB, d *model.Design, p *Prop, ops []seedOp, setup bool) {
+	t.Helper()
+	reached, ok := p.Reached()
+	if !ok {
+		t.Fatal("Reached invalid after a completed sparse run")
+	}
+	seen := make(map[model.PinID]bool, len(reached))
+	for _, v := range reached {
+		if d.Pins[v].Kind != model.FFData {
+			t.Fatalf("Reached lists %s, not an FF D pin", d.PinName(v))
+		}
+		if seen[v] {
+			t.Fatalf("Reached lists %s twice", d.PinName(v))
+		}
+		seen[v] = true
+	}
+	edit := int32(0)
+	for i := range d.FFs {
+		v := d.FFs[i].Data
+		live, _, _ := propState(p, v)
+		if live != seen[v] {
+			t.Fatalf("pin %s: holds a tuple %v, listed %v", d.PinName(v), live, seen[v])
+		}
+		if in := d.FanIn(v); live && len(in) > 0 {
+			edit = in[0]
+		}
+	}
+	if _, ok := p.CloneSparse().Reached(); ok {
+		t.Fatal("Reached valid on a cloned propagation")
+	}
+	seeds := make(map[model.PinID]Tuple, len(ops))
+	for _, o := range ops {
+		seeds[o.pin] = Tuple{Time: o.t, From: o.origin, Origin: o.origin, Group: o.group, Valid: true}
+	}
+	p.PatchSparse(d, setup, []int32{edit}, func(v model.PinID) (Tuple, bool) {
+		tup, ok := seeds[v]
+		return tup, ok
+	}, nil)
+	if _, ok := p.Reached(); ok {
+		t.Fatal("Reached valid on a patched propagation")
+	}
+}
+
 // runBothKernels runs the same seed set through RunCtx (dense) and
-// RunSparse and checks the resulting tuple arrays are identical.
-func runBothKernels(t testing.TB, d *model.Design, ops []seedOp, setup bool) {
+// RunSparse, checks the resulting tuple arrays are identical and
+// returns the sparse run.
+func runBothKernels(t testing.TB, d *model.Design, ops []seedOp, setup bool) *Prop {
 	t.Helper()
 	var dense, sparse Prop
 	dense.Reset(d.NumPins())
@@ -97,6 +146,7 @@ func runBothKernels(t testing.TB, d *model.Design, ops []seedOp, setup bool) {
 	sparse.RunSparse(d, setup, nil)
 
 	requireKernelsEqual(t, d, &dense, &sparse)
+	return &sparse
 }
 
 func TestRunSparseMatchesDenseRandom(t *testing.T) {
@@ -165,7 +215,23 @@ func FuzzRunSparseVsDense(f *testing.F) {
 				group:  int32(rng.Intn(3)),
 			})
 		}
-		runBothKernels(t, d, ops, setup)
+		sparse := runBothKernels(t, d, ops, setup)
+		if _, ok := sparse.Reached(); ok {
+			t.Fatal("Reached valid after an unbounded run")
+		}
+		// A bound no tuple reaches records the reached list without
+		// changing the propagation.
+		noEndpoints := make([]model.Time, d.NumPins())
+		for i := range noEndpoints {
+			noEndpoints[i] = NoRequired
+		}
+		var bounded Prop
+		bounded.ResetFor(d)
+		bounded.SetBound(Required(d, setup, noEndpoints), 1<<62)
+		applySeeds(&bounded, ops, setup)
+		bounded.RunSparse(d, setup, nil)
+		requireKernelsEqual(t, d, sparse, &bounded)
+		requireReached(t, d, &bounded, ops, setup)
 	})
 }
 

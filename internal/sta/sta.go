@@ -245,6 +245,12 @@ type Prop struct {
 	// Reset disarm it.
 	req   []model.Time
 	bound model.Time
+
+	// reached lists the FF D pins a bounded sparse run popped since the
+	// last ResetFor, in pop order; reachedOK reports that the list
+	// describes a completed run (Reached).
+	reached   []model.PinID
+	reachedOK bool
 }
 
 // NoRequired is the own required time of a pin that is not an endpoint.
@@ -299,13 +305,48 @@ func (p *Prop) SetBound(req []model.Time, bound model.Time) {
 	p.req, p.bound = req, bound
 }
 
+// SlackLowerBound is the lower bound on the final slack of any path
+// through v that arrives there at t, under a table from Required:
+// req[v]-t for setup, t+req[v] for hold.
+func SlackLowerBound(req []model.Time, v model.PinID, t model.Time, setup bool) model.Time {
+	if setup {
+		return req[v] - t
+	}
+	return t + req[v]
+}
+
 // cut reports whether a tuple at v with time t lies beyond the armed
 // bound. The caller checks p.req != nil.
 func (p *Prop) cut(v model.PinID, t model.Time, setup bool) bool {
-	if setup {
-		return p.req[v]-t > p.bound
-	}
-	return t+p.req[v] > p.bound
+	return SlackLowerBound(p.req, v, t, setup) > p.bound
+}
+
+// Beyond reports whether Offer would drop a tuple at v with time t
+// because it lies beyond the armed bound (SetBound). Always false when
+// no bound is armed.
+func (p *Prop) Beyond(v model.PinID, t model.Time, setup bool) bool {
+	return p.req != nil && p.cut(v, t, setup)
+}
+
+// Reached returns the FF D pins the sparse kernels (RunSparse,
+// RunSparseParallel) popped since the last ResetFor, each once, in pop
+// order: exactly the D pins that hold a tuple. The kernels record them
+// only under an armed bound (SetBound): a full-cone run reaches most of
+// its endpoints, so the list would save it nothing, while recording
+// would add a check to every pop. ok is false when the list does not
+// describe the propagation — before a sparse run completes, after an
+// unbounded run or a cancellation, under the dense kernel, and on a
+// patched (PatchSparse) or cloned (CloneSparse) propagation — and the
+// caller must scan its endpoints instead. The slice is owned by the
+// Prop.
+func (p *Prop) Reached() (pins []model.PinID, ok bool) {
+	return p.reached, p.reachedOK
+}
+
+// forgetReached empties the reached list and marks it invalid.
+func (p *Prop) forgetReached() {
+	p.reached = p.reached[:0]
+	p.reachedOK = false
 }
 
 // propPool recycles Prop scratch across queries: a propagation array pair
@@ -334,13 +375,14 @@ func PutProp(p *Prop) {
 	if p == nil {
 		return
 	}
-	if cap(p.a) > propRetainPins || cap(p.slots) > propRetainPins {
+	if cap(p.a) > propRetainPins || cap(p.slots) > propRetainPins || cap(p.reached) > propRetainPins {
 		*p = Prop{}
 	}
 	p.topo, p.topoIndex = nil, nil
 	p.sparse = false
 	p.req = nil
 	p.fr.reset()
+	p.forgetReached()
 	propPool.Put(p)
 }
 
@@ -356,6 +398,7 @@ func (p *Prop) Reset(n int) {
 	p.topo, p.topoIndex = nil, nil
 	p.sparse = false
 	p.req = nil
+	p.forgetReached()
 	if cap(p.a) < n {
 		p.a = make([]Tuple, n)
 		p.b = make([]Tuple, n)
@@ -376,6 +419,7 @@ func (p *Prop) ResetFor(d *model.Design) {
 	p.topo, p.topoIndex = d.Topo, d.TopoIndex
 	p.sparse = true
 	p.req = nil
+	p.forgetReached()
 	if cap(p.slots) < n {
 		p.slots = make([]propSlot, n)
 	}
@@ -389,6 +433,7 @@ func (p *Prop) ResetFor(d *model.Design) {
 func (p *Prop) Invalidate() {
 	p.epoch++
 	p.fr.reset()
+	p.forgetReached()
 }
 
 // touch transitions pin v's dense slots from stale to live, clearing
@@ -527,7 +572,8 @@ func (p *Prop) RunCtx(d *model.Design, setup bool, done <-chan struct{}) {
 // (the pin's propSlot) instead of the dense layout's three. The Prop must
 // have been prepared with ResetFor (which binds the design's topological
 // order); seeding Offers enqueue the seeds, and relaxation enqueues each
-// newly reached pin exactly once.
+// newly reached pin exactly once. Under an armed bound every popped FF
+// D pin is recorded for Reached.
 //
 // Popping minimum topological index first guarantees every pin is
 // processed after all of its in-cone predecessors, so the offer sequence
@@ -539,6 +585,7 @@ func (p *Prop) RunSparse(d *model.Design, setup bool, done <-chan struct{}) {
 		panic("sta: RunSparse on a Prop not prepared with ResetFor")
 	}
 	steps := 0
+	record, reached := p.req != nil, p.reached
 	for !p.fr.empty() {
 		if done != nil && steps&1023 == 0 {
 			select {
@@ -550,12 +597,16 @@ func (p *Prop) RunSparse(d *model.Design, setup bool, done <-chan struct{}) {
 		}
 		steps++
 		u := p.topo[p.fr.pop()]
+		if record && d.Pins[u].Kind == model.FFData {
+			reached = append(reached, u)
+		}
 		s := &p.slots[u] // live: only touched pins enter the frontier
 		// relaxSparse first-touches sinks in one pass (equivalent to two
 		// Offers because at' is never better than at and their groups
 		// always differ) and offerSlots the rest.
 		p.relaxSparse(d, u, s.a, s.b, setup)
 	}
+	p.reached, p.reachedOK = reached, record
 }
 
 // relax offers u's tuples along its fanout arcs: the shared inner step of
